@@ -85,6 +85,25 @@ std::pair<double, double> HeteroSpmm::device_times_all() const {
   return {cpu, gpu};
 }
 
+CsrMatrix HeteroSpmm::multiply_ranges(std::span<const Index> bounds) const {
+  // The symbolic pass runs once per instance: every split re-multiplies
+  // the same pattern, so the plan built on the first run serves all later
+  // ones numeric-only.
+  if (plan_ == nullptr) {
+    plan_ = std::make_shared<const sparse::SpgemmPlan>(
+        sparse::spgemm_plan(a_, b_, ThreadPool::global()));
+  }
+  std::vector<sparse::SpgemmCounters> counters(bounds.size() - 1);
+  CsrMatrix c = sparse::spgemm_numeric(a_, b_, *plan_, ThreadPool::global(),
+                                       bounds, counters);
+  for (size_t i = 0; i < counters.size(); ++i) {
+    NBWP_REQUIRE(counters[i].multiplies ==
+                     work_prefix_[bounds[i + 1]] - work_prefix_[bounds[i]],
+                 "executed work disagrees with the load vector");
+  }
+  return c;
+}
+
 hetsim::RunReport HeteroSpmm::run(double r_cpu_pct,
                                   CsrMatrix* c_out) const {
   const Index split = split_row(r_cpu_pct);
@@ -92,35 +111,14 @@ hetsim::RunReport HeteroSpmm::run(double r_cpu_pct,
   const SpmmStructure s = structure_at(r_cpu_pct);
   const SpmmTimes times = spmm_times(*platform_, s);
 
-  // Execute both sides (the same Gustavson kernel computes both halves;
-  // only the virtual-time accounting differs per device).  The GPU half
-  // goes through the fault gate — a persistent fault reroutes it to the
-  // CPU with an identical product.  The symbolic pass runs once per
-  // instance: every threshold re-multiplies the same pattern, so the plan
-  // built on the first run serves all subsequent splits numeric-only.
+  // The GPU half goes through the fault gate first; a persistent fault
+  // reroutes it to the CPU.  Either way one numeric pass computes both
+  // halves — only the virtual-time accounting differs per device.
+  const bool c2_on_gpu =
+      split == n || gpu_gate(*platform_, "spmm.c2", times.gpu_ns());
+  const Index bounds[] = {0, split, n};
   const bool plan_built = plan_ == nullptr;
-  if (plan_built) {
-    plan_ = std::make_shared<const sparse::SpgemmPlan>(
-        sparse::spgemm_plan(a_, b_, ThreadPool::global()));
-  }
-  sparse::SpgemmCounters ccpu, cgpu;
-  CsrMatrix c1 =
-      sparse::spgemm_numeric_row_range(a_, b_, *plan_, 0, split, &ccpu);
-  CsrMatrix c2;
-  bool c2_on_gpu = true;
-  auto c2_kernel = [&] {
-    c2 = sparse::spgemm_numeric_row_range(a_, b_, *plan_, split, n, &cgpu);
-  };
-  if (split < n) {
-    c2_on_gpu =
-        run_gpu_or_reroute(*platform_, "spmm.c2", times.gpu_ns(), c2_kernel);
-  } else {
-    c2_kernel();
-  }
-  NBWP_REQUIRE(ccpu.multiplies == s.cpu.multiplies &&
-                   cgpu.multiplies == s.gpu.multiplies,
-               "executed work disagrees with the load vector");
-  CsrMatrix c = CsrMatrix::vstack(c1, c2);
+  CsrMatrix c = multiply_ranges(bounds);
 
   hetsim::RunReport report;
   report.add_phase("phase1", times.phase1_ns);
@@ -202,44 +200,24 @@ hetsim::RunReport HeteroSpmm::run_kway(const core::PartitionDescriptor& d,
   const SpmmKwayStructure s = kway_structure(d);
   const SpmmKwayTimes times = spmm_kway_times(*platform_, s);
 
-  const bool plan_built = plan_ == nullptr;
-  if (plan_built) {
-    plan_ = std::make_shared<const sparse::SpgemmPlan>(
-        sparse::spgemm_plan(a_, b_, ThreadPool::global()));
-  }
-
-  // Execute every range with the numeric-only kernel; offload ranges go
-  // through the fault gate individually, so one dead device reroutes only
-  // its own rows.
-  CsrMatrix c;
+  // Gate every non-empty offload range on this thread, in device order,
+  // so one dead device reroutes only its own rows and a seeded fault plan
+  // decides identically every run; then one pool pass computes all ranges.
   double on_device_ns = 0.0;  // slowest offload range still on its device
   double reroute_ns = 0.0;    // rerouted ranges re-priced at CPU cost
   int rerouted = 0;
-  for (size_t i = 0; i < k; ++i) {
-    sparse::SpgemmCounters counters;
-    CsrMatrix part;
-    auto kernel = [&] {
-      part = sparse::spgemm_numeric_row_range(a_, b_, *plan_, b[i], b[i + 1],
-                                              &counters);
-    };
-    bool on_gpu = false;
-    if (i == 0 || b[i] == b[i + 1]) {
-      kernel();
+  for (size_t i = 1; i < k; ++i) {
+    if (b[i] == b[i + 1]) continue;
+    const std::string what = strfmt("spmm.kway.d%zu", i);
+    if (gpu_gate(*platform_, what.c_str(), times.device_ns[i])) {
+      on_device_ns = std::max(on_device_ns, times.device_ns[i]);
     } else {
-      const std::string what = strfmt("spmm.kway.d%zu", i);
-      on_gpu = run_gpu_or_reroute(*platform_, what.c_str(),
-                                  times.device_ns[i], kernel);
-      if (on_gpu) {
-        on_device_ns = std::max(on_device_ns, times.device_ns[i]);
-      } else {
-        ++rerouted;
-        reroute_ns += spgemm_cpu_work_ns(*platform_, s.work[i]);
-      }
+      ++rerouted;
+      reroute_ns += spgemm_cpu_work_ns(*platform_, s.work[i]);
     }
-    NBWP_REQUIRE(counters.multiplies == s.work[i].multiplies,
-                 "executed work disagrees with the load vector");
-    c = i == 0 ? std::move(part) : CsrMatrix::vstack(c, part);
   }
+  const bool plan_built = plan_ == nullptr;
+  CsrMatrix c = multiply_ranges(b);
 
   hetsim::RunReport report;
   report.add_phase("phase1", times.phase1_ns);

@@ -9,12 +9,15 @@
 //
 // The split percentage r is the *CPU share of the work volume* in percent.
 //
-// `run` executes the kernels; `time_ns` evaluates the identical cost
-// formulas from cached per-row work arrays (computed once per input), so
-// exhaustive sweeps cost O(rows/32) per candidate.
+// `run` executes the product — every device's rows in one host pool pass
+// into a single C, since virtual time comes from the structure and not
+// from host order; `time_ns` evaluates the identical cost formulas from
+// cached per-row work arrays (computed once per input), so exhaustive
+// sweeps cost O(rows/32) per candidate.
 #pragma once
 
 #include <memory>
+#include <span>
 #include <utility>
 
 #include "core/partition_descriptor.hpp"
@@ -52,15 +55,17 @@ class HeteroSpmm {
   ///
   /// The first run builds a symbolic SpgemmPlan for A x B and caches it on
   /// the instance; every run (any threshold — the split only moves the row
-  /// boundary, not the pattern) then executes the numeric-only kernel over
-  /// that plan ("plan_built" counter reports 0/1 per run).  Threshold
-  /// sweeps that re-multiply the same sampled sub-instance many times pay
-  /// the symbolic pass once.
+  /// boundary, not the pattern) then executes one numeric-only pass over
+  /// that plan on the thread pool, writing both sides into a single C
+  /// ("plan_built" counter reports 0/1 per run).  Threshold sweeps that
+  /// re-multiply the same sampled sub-instance many times pay the
+  /// symbolic pass once.
   ///
   /// The GPU product ("spmm.c2") is gated through the platform's fault
-  /// injector (hetalg/gpu_guard.hpp); a persistent fault reroutes it to
-  /// the CPU ("phase2.reroute" phase, "gpu_rerouted" counter) with an
-  /// identical product.  `c_out`, when non-null, receives C.
+  /// injector (hetalg/gpu_guard.hpp) on the calling thread before the
+  /// pass; a persistent fault reroutes it to the CPU ("phase2.reroute"
+  /// phase, "gpu_rerouted" counter) with an identical product.  `c_out`,
+  /// when non-null, receives C.
   hetsim::RunReport run(double r_cpu_pct,
                         sparse::CsrMatrix* c_out = nullptr) const;
 
@@ -116,9 +121,11 @@ class HeteroSpmm {
   /// Analytic K-way makespan (equals run_kway(d).total_ns()).
   double kway_time_ns(const core::PartitionDescriptor& d) const;
 
-  /// Execute Algorithm 2 under a K-way descriptor.  Each offload range is
-  /// gated through the fault injector ("spmm.kway.d<i>"); rerouted ranges
-  /// are re-priced at CPU cost under "phase2.reroute".  Counters add
+  /// Execute Algorithm 2 under a K-way descriptor.  Each non-empty
+  /// offload range is gated through the fault injector ("spmm.kway.d<i>")
+  /// on the calling thread, in device order; rerouted ranges are
+  /// re-priced at CPU cost under "phase2.reroute".  All ranges are then
+  /// multiplied by the same single pool pass as run().  Counters add
   /// "devices" and "gpu_rerouted" (count of rerouted offload ranges).
   hetsim::RunReport run_kway(const core::PartitionDescriptor& d,
                              sparse::CsrMatrix* c_out = nullptr) const;
@@ -132,6 +139,12 @@ class HeteroSpmm {
 
  private:
   void build_profiles();
+
+  /// C = A x B in one numeric pass over the cached plan (built on first
+  /// use), split at the device row `bounds` so each range's executed
+  /// multiplies are checked against the load vector.
+  sparse::CsrMatrix multiply_ranges(
+      std::span<const sparse::Index> bounds) const;
 
   sparse::CsrMatrix a_;
   sparse::CsrMatrix b_;

@@ -65,21 +65,18 @@ class HashAccum {
 
   /// Numeric insert: accumulate v into column c (Spa::add semantics).
   void add(Index c, double v) {
-    reserve_one();
     const size_t s = find_slot(c);
-    if (stamp_[s] != generation_) {
-      occupy(s, c);
-      vals_[s] = v;
-    } else {
+    if (stamp_[s] == generation_) {
       vals_[s] += v;
+    } else {
+      vals_[insert(s, c)] = v;
     }
   }
 
   /// Symbolic insert: record that column c appears (Spa::mark semantics).
   void mark(Index c) {
-    reserve_one();
     const size_t s = find_slot(c);
-    if (stamp_[s] != generation_) occupy(s, c);
+    if (stamp_[s] != generation_) insert(s, c);
   }
 
   /// Distinct columns inserted since start_row().
@@ -119,11 +116,17 @@ class HashAccum {
     order_[count_++] = static_cast<uint32_t>(s);
   }
 
-  /// Keep the load factor at or below 1/2 for the next insert.  Growth
-  /// happens *before* probing, so slot indices held by add()/mark() are
-  /// never invalidated mid-insert.
-  void reserve_one() {
-    if (2 * (count_ + 1) > capacity()) grow();
+  /// Claim empty slot `s` for new column c and return c's slot.  Only a
+  /// new column can push the load factor past 1/2, so only a new column
+  /// grows the table (hits on a full row never do); growth rehashes, so
+  /// the slot is found again.
+  size_t insert(size_t s, Index c) {
+    if (2 * (count_ + 1) > cap_) {
+      grow();
+      s = find_slot(c);
+    }
+    occupy(s, c);
+    return s;
   }
 
   /// Rehash into a table twice the size, re-inserting in first-touch

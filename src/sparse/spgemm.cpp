@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstring>
 #include <vector>
 
 #include "sparse/spgemm_plan.hpp"
@@ -385,9 +384,9 @@ void pattern_rows(const CsrMatrix& a, const CsrMatrix& b, Index lo, Index hi,
       ws.spa.start_row();
       for (Index k : a.row_cols(i))
         for (Index c : b.row_cols(k)) ws.spa.mark(c);
-      const auto touched = ws.spa.touched_sorted();
-      std::memcpy(col_out + at, touched.data(),
-                  touched.size() * sizeof(Index));
+      // std::ranges::copy, not memcpy: an empty product has a null
+      // col_out, and memcpy's arguments must be non-null even for 0 bytes.
+      std::ranges::copy(ws.spa.touched_sorted(), col_out + at);
     }
   }
 }
@@ -625,7 +624,24 @@ CsrMatrix spgemm_numeric(const CsrMatrix& a, const CsrMatrix& b,
                          const SpgemmPlan& plan, ThreadPool& pool,
                          SpgemmCounters* counters,
                          const SpgemmParallelOptions& options) {
+  const Index whole[] = {0, plan.rows};
+  SpgemmCounters total;
+  CsrMatrix c = spgemm_numeric(a, b, plan, pool, whole, {&total, 1}, options);
+  if (counters) *counters += total;
+  return c;
+}
+
+CsrMatrix spgemm_numeric(const CsrMatrix& a, const CsrMatrix& b,
+                         const SpgemmPlan& plan, ThreadPool& pool,
+                         std::span<const Index> bounds,
+                         std::span<SpgemmCounters> range_counters,
+                         const SpgemmParallelOptions& options) {
   require_plan_compatible(plan, a, b);
+  const size_t k = range_counters.size();
+  NBWP_REQUIRE(k >= 1 && bounds.size() == k + 1 && bounds.front() == 0 &&
+                   bounds.back() == plan.rows &&
+                   std::ranges::is_sorted(bounds),
+               "spgemm numeric ranges must be monotone from 0 to rows");
   obs::Span span("kernel.spgemm.numeric_only");
   obs::count("kernel.spgemm.plan.reused");
   const Index n = plan.rows;
@@ -636,70 +652,38 @@ CsrMatrix spgemm_numeric(const CsrMatrix& a, const CsrMatrix& b,
 
   const size_t hint = workspace_hint(plan.cols, options.accumulator);
   const bool dynamic = options.schedule == SpgemmSchedule::kDynamic;
-  const std::vector<Index> bounds =
+  const std::vector<Index> blocks =
       dynamic ? std::vector<Index>{}
               : balanced_boundaries(plan.load_prefix, team);
   std::atomic<size_t> arena_high_water{0};
-  std::vector<SpgemmCounters> part(team);
-  dispatch_planned(pool, n, bounds, dynamic, options.dynamic_chunk, hint,
-                   &arena_high_water,
-                   [&](unsigned w, Index lo, Index hi, SpgemmWorkspace& ws) {
-                     numeric_rows_planned(a, b, plan, lo, hi, ws,
-                                          values.data(), part[w]);
-                   });
+  std::vector<SpgemmCounters> part(static_cast<size_t>(team) * k);
+  dispatch_planned(
+      pool, n, blocks, dynamic, options.dynamic_chunk, hint,
+      &arena_high_water,
+      [&](unsigned w, Index lo, Index hi, SpgemmWorkspace& ws) {
+        // Clip the block at the range boundaries: r is the range holding
+        // row lo (the last of any empty ranges ending there).
+        auto r = static_cast<size_t>(std::ranges::upper_bound(bounds, lo) -
+                                     bounds.begin()) - 1;
+        for (; lo < hi; ++r) {
+          const Index end = std::min(hi, bounds[r + 1]);
+          numeric_rows_planned(a, b, plan, lo, end, ws, values.data(),
+                               part[w * k + r]);
+          lo = end;
+        }
+      });
   obs::set_gauge("kernel.spgemm.arena.high_water_bytes",
                  static_cast<double>(
                      arena_high_water.load(std::memory_order_relaxed)));
   SpgemmCounters total;
-  for (const auto& pc : part) total += pc;
-  if (counters) *counters += total;
+  for (size_t w = 0; w < team; ++w) {
+    for (size_t r = 0; r < k; ++r) {
+      range_counters[r] += part[w * k + r];
+      total += part[w * k + r];
+    }
+  }
   emit_kernel_counters(total);
   return CsrMatrix::from_parts(n, plan.cols, std::move(row_ptr),
-                               std::move(col_idx), std::move(values));
-}
-
-CsrMatrix spgemm_numeric_row_range(const CsrMatrix& a, const CsrMatrix& b,
-                                   const SpgemmPlan& plan, Index first,
-                                   Index last, SpgemmCounters* counters) {
-  require_plan_compatible(plan, a, b);
-  NBWP_REQUIRE(first <= last && last <= a.rows(), "row range out of bounds");
-  obs::Span span("kernel.spgemm.numeric_only.range");
-  obs::count("kernel.spgemm.plan.reused");
-  auto ws = workspace_pool().acquire(
-      workspace_hint(b.cols(), SpgemmAccumulator::kForceSpa));
-  count_workspace(ws);
-  Spa& spa = ws->spa;
-  spa.ensure(ws->arena, b.cols());
-
-  const uint64_t base = plan.row_ptr[first];
-  const uint64_t nnz = plan.row_ptr[last] - base;
-  std::vector<uint64_t> row_ptr(static_cast<size_t>(last - first) + 1);
-  for (Index r = 0; r <= last - first; ++r)
-    row_ptr[r] = plan.row_ptr[first + r] - base;
-  std::vector<Index> col_idx(plan.col_idx.begin() + base,
-                             plan.col_idx.begin() + base + nnz);
-  std::vector<double> values(nnz);
-
-  SpgemmCounters local;
-  const auto keep_all = [](Index) { return true; };
-  for (Index i = first; i < last; ++i) {
-    const uint64_t at = plan.row_ptr[i] - base;
-    const uint64_t row_nnz = plan.row_ptr[i + 1] - plan.row_ptr[i];
-    spa.start_row();
-    accumulate_row(a, b, keep_all, i, spa, local);
-    NBWP_REQUIRE(spa.touched() == row_nnz,
-                 "spgemm plan stale: row pattern changed");
-    const Index* cols = col_idx.data() + at;
-    NBWP_PRAGMA_SIMD
-    for (uint64_t t = 0; t < row_nnz; ++t)
-      values[at + t] = spa.value(cols[t]);
-    local.c_nnz += row_nnz;
-  }
-  local.rows = last - first;
-  local.rows_spa = last - first;
-  if (counters) *counters += local;
-  emit_kernel_counters(local);
-  return CsrMatrix::from_parts(last - first, b.cols(), std::move(row_ptr),
                                std::move(col_idx), std::move(values));
 }
 

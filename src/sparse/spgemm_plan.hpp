@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "parallel/thread_pool.hpp"
@@ -67,12 +68,15 @@ CsrMatrix spgemm_numeric(const CsrMatrix& a, const CsrMatrix& b,
                          SpgemmCounters* counters = nullptr,
                          const SpgemmParallelOptions& options = {});
 
-/// Serial numeric-only product of rows [first, last) of A times B over
-/// the plan; bitwise identical to spgemm_row_range(a, b, first, last).
-/// This is the variant the heterogeneous SpMM split uses per device side.
-CsrMatrix spgemm_numeric_row_range(const CsrMatrix& a, const CsrMatrix& b,
-                                   const SpgemmPlan& plan, Index first,
-                                   Index last,
-                                   SpgemmCounters* counters = nullptr);
+/// The same single pass, with the rows split into K device ranges by
+/// `bounds` (K + 1 monotone values, 0 to rows; empty ranges allowed):
+/// every worker block is clipped at the range boundaries, so range r's
+/// counters are added to `range_counters[r]` (K entries).  C is one CSR
+/// whatever the split — the ranges only attribute the work.
+CsrMatrix spgemm_numeric(const CsrMatrix& a, const CsrMatrix& b,
+                         const SpgemmPlan& plan, ThreadPool& pool,
+                         std::span<const Index> bounds,
+                         std::span<SpgemmCounters> range_counters,
+                         const SpgemmParallelOptions& options = {});
 
 }  // namespace nbwp::sparse

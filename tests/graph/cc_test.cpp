@@ -15,6 +15,10 @@ struct CcCase {
   CsrGraph (*make)(Rng&);
 };
 
+// Print the case by name: the default byte dump holds function addresses,
+// which change from run to run and would end up in the ctest name.
+void PrintTo(const CcCase& c, std::ostream* os) { *os << c.name; }
+
 CsrGraph make_er(Rng& rng) { return erdos_renyi(400, 900, rng); }
 CsrGraph make_sparse_er(Rng& rng) { return erdos_renyi(1000, 600, rng); }
 CsrGraph make_mesh(Rng& rng) { return banded_mesh(600, 8, 16, rng); }

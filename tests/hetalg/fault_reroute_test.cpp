@@ -4,14 +4,18 @@
 // may differ.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <vector>
 
+#include "core/partition_descriptor.hpp"
 #include "graph/generators.hpp"
 #include "hetalg/hetero_cc.hpp"
 #include "hetalg/hetero_spmm.hpp"
 #include "hetalg/hetero_spmm_hh.hpp"
 #include "obs/metrics.hpp"
 #include "sparse/generators.hpp"
+#include "sparse/spgemm.hpp"
 
 namespace nbwp::hetalg {
 namespace {
@@ -167,6 +171,105 @@ TEST(FaultReroute, HealthyPlatformReportsNoReroutes) {
   const graph::CsrGraph g = test_graph();
   const auto report = HeteroCc(g, hetsim::Platform::reference()).run(25.0);
   EXPECT_EQ(report.counter("gpu_rerouted"), 0.0);
+}
+
+double counter_or_zero(const obs::MetricsSnapshot& s, const std::string& n) {
+  const auto it = s.counters.find(n);
+  return it == s.counters.end() ? 0.0 : it->second;
+}
+
+/// Reference CPU + GPU plus two scaled-down K40c accelerators.
+hetsim::Platform four_device_platform(const std::string& plan) {
+  hetsim::Platform platform = hetsim::Platform::reference();
+  for (int i = 0; i < 2; ++i) {
+    const double scale = std::pow(0.5, i + 1);
+    hetsim::GpuSpec gpu = hetsim::kTeslaK40c;
+    gpu.sm_count *= scale;
+    gpu.cores *= scale;
+    gpu.bw_stream_bps *= scale;
+    gpu.bw_random_bps *= scale;
+    gpu.full_occupancy_items *= scale;
+    platform.add_accel(gpu, hetsim::kPcie3x16);
+  }
+  platform.set_fault_plan(hetsim::FaultPlan::parse(plan));
+  return platform;
+}
+
+// The fault gates of a K-way run fire on the calling thread in device
+// order, so a seeded plan makes the same decisions however the numeric
+// pass is scheduled: d1 fails transiently and recovers on its retry; the
+// retry puts virtual time on the GPU clock, so d2 trips the hard fault and
+// d3 finds the device dead.  Counters, virtual time and C are pinned.
+TEST(FaultReroute, KwaySeededFaultsMatchExpectedDecisions) {
+  const sparse::CsrMatrix a = test_matrix();
+  const core::PartitionDescriptor d{{0.25, 0.25, 0.25, 0.25}};
+  sparse::CsrMatrix healthy;
+  HeteroSpmm(a, four_device_platform("none")).run_kway(d, &healthy);
+  ASSERT_TRUE(healthy == sparse::spgemm(a, a));
+
+  obs::Registry::global().clear();
+  obs::set_metrics_enabled(true);
+  const hetsim::Platform platform =
+      four_device_platform("gpu-transient@0,gpu-hard-after=0");
+  const HeteroSpmm problem(a, platform);
+  sparse::CsrMatrix c;
+  const hetsim::RunReport report = problem.run_kway(d, &c);
+  obs::set_metrics_enabled(false);
+  const auto snapshot = obs::Registry::global().snapshot();
+
+  EXPECT_TRUE(c == healthy);
+  EXPECT_EQ(report.counter("gpu_rerouted"), 2.0);
+  EXPECT_EQ(counter_or_zero(snapshot, "robustness.retry"), 1.0);
+  EXPECT_EQ(counter_or_zero(snapshot, "robustness.retry.success"), 1.0);
+  EXPECT_EQ(counter_or_zero(snapshot, "robustness.reroute"), 2.0);
+  EXPECT_EQ(counter_or_zero(snapshot, "robustness.reroute.spmm.kway.d1"),
+            0.0);
+  EXPECT_EQ(counter_or_zero(snapshot, "robustness.reroute.spmm.kway.d2"),
+            1.0);
+  EXPECT_EQ(counter_or_zero(snapshot, "robustness.reroute.spmm.kway.d3"),
+            1.0);
+  ASSERT_NE(platform.faults(), nullptr);
+  EXPECT_EQ(platform.faults()->gpu_invocations(), 4u);
+
+  // d0 overlaps the surviving d1; d2 and d3 re-run at CPU cost afterwards.
+  const SpmmKwayStructure s = problem.kway_structure(d);
+  const SpmmKwayTimes t = spmm_kway_times(platform, s);
+  const double expected =
+      t.phase1_ns + std::max(t.device_ns[0], t.device_ns[1]) +
+      (spgemm_cpu_work_ns(platform, s.work[2]) +
+       spgemm_cpu_work_ns(platform, s.work[3])) +
+      t.stitch_ns;
+  EXPECT_EQ(report.total_ns(), expected);
+  obs::Registry::global().clear();
+}
+
+TEST(FaultReroute, ScalarRunWithDeadGpuMatchesExpectedDecisions) {
+  const sparse::CsrMatrix a = test_matrix();
+  const double r = 30.0;
+  sparse::CsrMatrix healthy;
+  HeteroSpmm(a, hetsim::Platform::reference()).run(r, &healthy);
+
+  obs::Registry::global().clear();
+  obs::set_metrics_enabled(true);
+  const hetsim::Platform platform = faulty("gpu-hard@0");
+  const HeteroSpmm problem(a, platform);
+  sparse::CsrMatrix c;
+  const hetsim::RunReport report = problem.run(r, &c);
+  obs::set_metrics_enabled(false);
+  const auto snapshot = obs::Registry::global().snapshot();
+
+  EXPECT_TRUE(c == healthy);
+  EXPECT_EQ(report.counter("gpu_rerouted"), 1.0);
+  EXPECT_EQ(counter_or_zero(snapshot, "robustness.retry"), 0.0);
+  EXPECT_EQ(counter_or_zero(snapshot, "robustness.reroute"), 1.0);
+  EXPECT_EQ(counter_or_zero(snapshot, "robustness.reroute.spmm.c2"), 1.0);
+
+  const SpmmStructure s = problem.structure_at(r);
+  const SpmmTimes t = spmm_times(platform, s);
+  const double expected = t.phase1_ns + t.cpu_ns() +
+                          spgemm_cpu_work_ns(platform, s.gpu) + t.stitch_ns;
+  EXPECT_EQ(report.total_ns(), expected);
+  obs::Registry::global().clear();
 }
 
 }  // namespace

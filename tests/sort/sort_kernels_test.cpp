@@ -3,16 +3,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <utility>
 
 namespace nbwp::sort {
 namespace {
 
+// The kind is a std::string (not const char*) so gtest prints its text, not
+// its address: the printed parameter is part of the ctest name.
 class SortKernelTest
-    : public ::testing::TestWithParam<std::pair<const char*, int>> {};
+    : public ::testing::TestWithParam<std::pair<std::string, int>> {};
 
-std::vector<uint64_t> make_keys(const char* kind, size_t n, Rng& rng) {
-  if (std::string(kind) == "uniform") return uniform_keys(n, rng);
-  if (std::string(kind) == "skewed") return skewed_keys(n, rng);
+std::vector<uint64_t> make_keys(const std::string& kind, size_t n, Rng& rng) {
+  if (kind == "uniform") return uniform_keys(n, rng);
+  if (kind == "skewed") return skewed_keys(n, rng);
   return nearly_sorted_keys(n, 0.1, rng);
 }
 
@@ -39,9 +43,10 @@ TEST_P(SortKernelTest, BothKernelsSortEveryDistribution) {
 
 INSTANTIATE_TEST_SUITE_P(
     Distributions, SortKernelTest,
-    ::testing::Values(std::pair{"uniform", 1}, std::pair{"skewed", 2},
-                      std::pair{"nearly_sorted", 3}),
-    [](const auto& info) { return std::string(info.param.first); });
+    ::testing::Values(std::pair<std::string, int>{"uniform", 1},
+                      std::pair<std::string, int>{"skewed", 2},
+                      std::pair<std::string, int>{"nearly_sorted", 3}),
+    [](const auto& info) { return info.param.first; });
 
 TEST(CpuChunkedSort, EdgeCases) {
   ThreadPool pool(2);

@@ -120,6 +120,30 @@ TEST(HashAccum, GrowsMidRowWithoutLosingEntries) {
   }
 }
 
+TEST(HashAccum, HitsOnAFullRowNeverGrowTheTable) {
+  // A row holding exactly its distinct bound sits at load factor 1/2.
+  // Further hits on those columns add no entry, so they must not grow
+  // the table: every growth strands the old arrays in the arena.
+  Arena arena;
+  HashAccum acc;
+  constexpr Index kDistinct = 8;
+  acc.ensure(arena, kDistinct);
+  const size_t capacity = acc.capacity();
+  const size_t arena_used = arena.used_bytes();
+  const size_t arena_capacity = arena.capacity_bytes();
+  acc.start_row();
+  for (Index c = 0; c < kDistinct; ++c) acc.add(31 * c, 1.0);
+  for (int hit = 0; hit < 12; ++hit) {
+    acc.add(31 * static_cast<Index>(hit % kDistinct), 0.5);
+    acc.mark(31 * static_cast<Index>(hit % kDistinct));
+  }
+  EXPECT_EQ(acc.touched(), kDistinct);
+  EXPECT_EQ(acc.capacity(), capacity);
+  EXPECT_EQ(arena.used_bytes(), arena_used);
+  EXPECT_EQ(arena.capacity_bytes(), arena_capacity);
+  EXPECT_EQ(acc.value(0), 2.0);  // 1 + 0.5 on each of hits 0 and 8
+}
+
 TEST(HashAccum, ShrinksLogicalCapacityWithoutReallocatingOrLosingRows) {
   Arena arena;
   HashAccum acc;

@@ -10,6 +10,7 @@
 #include "obs/metrics.hpp"
 #include "sparse/generators.hpp"
 #include "sparse/spgemm.hpp"
+#include "sparse/spgemm_plan.hpp"
 #include "util/rng.hpp"
 
 namespace nbwp::sparse {
@@ -219,6 +220,41 @@ TEST(SpgemmWorkspace, ResetHighWaterClearsGaugeBetweenPhases) {
   EXPECT_LT(small_peak, big_peak);
   obs::set_metrics_enabled(false);
   obs::Registry::global().clear();
+}
+
+TEST(SpgemmWorkspace, RepeatedProductsKeepIdleBytesFlat) {
+  // Every row of B holds the same 16 columns, so every row of C reaches
+  // its 16 distinct columns — exactly the 1/2 load factor of its hash
+  // table — on the first B row it reads and then only hits them.  Such
+  // hits used to grow the table and strand the old arrays in the pooled
+  // arena on every pass.  After the first pass has sized the workspace,
+  // re-multiplying the same matrices must not add a byte.
+  Rng rng(47);
+  std::vector<Triplet> ta, tb;
+  for (Index i = 0; i < 400; ++i)
+    for (int j = 0; j < 3; ++j)
+      ta.push_back({i, static_cast<Index>(rng.uniform(64)),
+                    rng.uniform_real(-1, 1)});
+  for (Index k = 0; k < 64; ++k)
+    for (Index c = 0; c < 16; ++c)
+      tb.push_back({k, 64 * c, rng.uniform_real(-1, 1)});
+  const CsrMatrix a = CsrMatrix::from_triplets(400, 64, ta);
+  const CsrMatrix b = CsrMatrix::from_triplets(64, 1024, tb);
+  ThreadPool pool(1);  // one lease at a time: the pool's size is exact
+  SpgemmParallelOptions o;
+  o.accumulator = SpgemmAccumulator::kForceHash;
+  spgemm_workspace_trim();
+  const SpgemmPlan plan = spgemm_plan(a, b, pool, o);
+  const CsrMatrix first = spgemm_numeric(a, b, plan, pool);
+  spgemm_parallel(a, b, pool, nullptr, o);
+  const auto after_first = spgemm_workspace_stats();
+  for (int pass = 0; pass < 5; ++pass) {
+    EXPECT_TRUE(spgemm_numeric(a, b, plan, pool) == first);
+    spgemm_parallel(a, b, pool, nullptr, o);
+  }
+  const auto after_all = spgemm_workspace_stats();
+  EXPECT_EQ(after_all.created, after_first.created);
+  EXPECT_EQ(after_all.idle_bytes, after_first.idle_bytes);
 }
 
 TEST(SpgemmWorkspace, TrimKeepsRequestedNumberIdle) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "sparse/generators.hpp"
@@ -71,26 +72,72 @@ TEST(SpgemmPlan, RemultiplyWithFreshValuesBitwise) {
   }
 }
 
-TEST(SpgemmPlan, SerialRangeBitwiseIdenticalToRowRange) {
+TEST(SpgemmPlan, RangedPassBitwiseIdenticalToRowRange) {
+  // The device-range entry point: C is one CSR whatever the split, and
+  // each range's counters match the serial kernel over the same rows.
   Rng rng(23);
   const CsrMatrix a = banded_fem(200, 8, 16, 4, rng);
   ThreadPool pool(2);
   const SpgemmPlan plan = spgemm_plan(a, a, pool);
+  const CsrMatrix ref = spgemm(a, a);
   const Index n = a.rows();
-  const std::pair<Index, Index> ranges[] = {
-      {0, n}, {0, 0}, {n, n}, {17, 120}, {0, 1}};
-  for (const auto& [first, last] : ranges) {
-    SpgemmCounters planned, full;
-    const CsrMatrix c =
-        spgemm_numeric_row_range(a, a, plan, first, last, &planned);
-    const CsrMatrix ref = spgemm_row_range(a, a, first, last, &full);
-    expect_bitwise_equal(c, ref);
-    // The load-vector consistency REQUIRE in HeteroSpmm::run depends on
-    // the numeric-only path counting multiplies exactly like the full
-    // kernel.
-    EXPECT_EQ(planned.multiplies, full.multiplies)
-        << "range [" << first << ", " << last << ")";
-    EXPECT_EQ(planned.c_nnz, full.c_nnz);
+  const std::vector<std::vector<Index>> splits = {
+      {0, n}, {0, 0, n}, {0, n, n}, {0, 17, 120, n}, {0, 1, n}};
+  for (const auto& bounds : splits) {
+    std::vector<SpgemmCounters> planned(bounds.size() - 1);
+    expect_bitwise_equal(spgemm_numeric(a, a, plan, pool, bounds, planned),
+                         ref);
+    for (size_t r = 0; r < planned.size(); ++r) {
+      // The load-vector consistency REQUIRE in HeteroSpmm::run depends on
+      // the numeric-only path counting multiplies exactly like the full
+      // kernel.
+      SpgemmCounters full;
+      spgemm_row_range(a, a, bounds[r], bounds[r + 1], &full);
+      EXPECT_EQ(planned[r].multiplies, full.multiplies) << "range " << r;
+      EXPECT_EQ(planned[r].c_nnz, full.c_nnz);
+      EXPECT_EQ(planned[r].rows, full.rows);
+    }
+  }
+}
+
+TEST(SpgemmPlan, RangedPassRandomBoundariesAndTeamSizes) {
+  // Teams up to 8 (beyond the core count of small machines), K = 1..6
+  // ranges with random — often empty — boundaries, both schedules.
+  Rng rng(27);
+  const CsrMatrix a = scale_free(1200, 9, 2.1, rng);  // wide: rows hash too
+  const CsrMatrix b = scale_free(1200, 7, 2.0, rng);
+  const CsrMatrix ref = spgemm(a, b);
+  const Index n = a.rows();
+  for (unsigned team = 1; team <= 8; ++team) {
+    ThreadPool pool(team);
+    SpgemmParallelOptions options;
+    if (team % 2 == 0) options.schedule = SpgemmSchedule::kDynamic;
+    const SpgemmPlan plan = spgemm_plan(a, b, pool, options);
+    for (int trial = 0; trial < 6; ++trial) {
+      const size_t k = trial == 0 ? 1 : 1 + rng.uniform(6);
+      std::vector<Index> bounds(k + 1, 0);
+      for (size_t j = 1; j < k; ++j)
+        bounds[j] = static_cast<Index>(rng.uniform(n + 1));
+      bounds[k] = n;
+      std::sort(bounds.begin(), bounds.end());
+      if (trial == 1) bounds.insert(bounds.begin() + 1, 2, bounds[1]);
+      std::vector<SpgemmCounters> per_range(bounds.size() - 1);
+      expect_bitwise_equal(
+          spgemm_numeric(a, b, plan, pool, bounds, per_range, options), ref);
+      uint64_t hashed = 0;
+      for (size_t r = 0; r < per_range.size(); ++r) {
+        EXPECT_EQ(per_range[r].multiplies,
+                  plan.load_prefix[bounds[r + 1]] - plan.load_prefix[bounds[r]])
+            << "team " << team << " range " << r;
+        EXPECT_EQ(per_range[r].rows, bounds[r + 1] - bounds[r]);
+        EXPECT_EQ(per_range[r].c_nnz,
+                  plan.row_ptr[bounds[r + 1]] - plan.row_ptr[bounds[r]]);
+        EXPECT_EQ(per_range[r].rows_spa + per_range[r].rows_hash,
+                  per_range[r].rows);
+        hashed += per_range[r].rows_hash;
+      }
+      EXPECT_GT(hashed, 0u) << "the plan's hash routes were not replayed";
+    }
   }
 }
 
@@ -136,7 +183,19 @@ TEST(SpgemmPlan, StalePlanFailsLoudly) {
   EXPECT_EQ(plan.nnz(), 1u);
   EXPECT_FALSE(plan.matches(a, b_stale));
   EXPECT_THROW(spgemm_numeric(a, b_stale, plan, pool), Error);
-  EXPECT_THROW(spgemm_numeric_row_range(a, b_stale, plan, 0, 1), Error);
+  const Index split[] = {0, 0, 1};
+  SpgemmCounters per_range[2];
+  EXPECT_THROW(spgemm_numeric(a, b_stale, plan, pool, split, per_range),
+               Error);
+  // Boundaries must run monotonically from 0 to rows, one per range + 1.
+  const Index unsorted[] = {0, 1, 0, 1};
+  SpgemmCounters three[3];
+  EXPECT_THROW(spgemm_numeric(a, b, plan, pool, unsorted, three), Error);
+  const Index short_of_rows[] = {0, 0};
+  EXPECT_THROW(spgemm_numeric(a, b, plan, pool, short_of_rows,
+                              std::span(per_range, 1)),
+               Error);
+  EXPECT_THROW(spgemm_numeric(a, b, plan, pool, split, three), Error);
   // Shape or nnz drift is caught by the cheap per-call validation.
   const std::vector<Triplet> tb_extra = {
       {0, 0, 1.0}, {1, 0, 1.0}, {1, 1, 1.0}};
