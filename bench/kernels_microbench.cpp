@@ -458,6 +458,19 @@ void BM_SpgemmNumericRemultiply(benchmark::State& state) {
 }
 BENCHMARK(BM_SpgemmNumericRemultiply)->Arg(1 << 12);
 
+// First-run cost of the planned path: one plan build, the product
+// HeteroSpmm::run pays before its first numeric pass.  The CI gate bounds
+// it against BM_SpgemmFullRemultiply (one full symbolic + numeric product
+// of the same input).
+void BM_SpgemmPlanBuild(benchmark::State& state) {
+  const auto a = make_skewed_matrix(state.range(0));
+  ThreadPool pool(4);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sparse::spgemm_plan(a, a, pool).nnz());
+  }
+}
+BENCHMARK(BM_SpgemmPlanBuild)->Arg(1 << 12);
+
 void BM_GpuRadixSort(benchmark::State& state) {
   Rng rng(7);
   const auto original =

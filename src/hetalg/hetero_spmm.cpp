@@ -91,7 +91,7 @@ CsrMatrix HeteroSpmm::multiply_ranges(std::span<const Index> bounds) const {
   // ones numeric-only.
   if (plan_ == nullptr) {
     plan_ = std::make_shared<const sparse::SpgemmPlan>(
-        sparse::spgemm_plan(a_, b_, ThreadPool::global()));
+        sparse::spgemm_plan(a_, b_, ThreadPool::global(), {}, work_prefix_));
   }
   std::vector<sparse::SpgemmCounters> counters(bounds.size() - 1);
   CsrMatrix c = sparse::spgemm_numeric(a_, b_, *plan_, ThreadPool::global(),

@@ -53,13 +53,14 @@ class HeteroSpmm {
   /// "gpu_work_ns", "split_row"; phases: "phase1", "phase2.cpu",
   /// "phase2.gpu", "stitch".  The product C itself is validated in tests.
   ///
-  /// The first run builds a symbolic SpgemmPlan for A x B and caches it on
-  /// the instance; every run (any threshold — the split only moves the row
-  /// boundary, not the pattern) then executes one numeric-only pass over
-  /// that plan on the thread pool, writing both sides into a single C
-  /// ("plan_built" counter reports 0/1 per run).  Threshold sweeps that
-  /// re-multiply the same sampled sub-instance many times pay the
-  /// symbolic pass once.
+  /// The first run builds a symbolic SpgemmPlan for A x B (from the
+  /// cached flops prefix) and caches it on the instance; every run (any
+  /// threshold — the split only moves the row boundary, not the pattern)
+  /// then executes one numeric-only pass over that plan on the thread
+  /// pool, writing both sides into a single C ("plan_built" counter
+  /// reports 0/1 per run).  Threshold sweeps price splits with time_ns
+  /// and never run(), so a plan usually serves one run: its build is
+  /// first-run cost, kept to one symbolic walk.
   ///
   /// The GPU product ("spmm.c2") is gated through the platform's fault
   /// injector (hetalg/gpu_guard.hpp) on the calling thread before the

@@ -73,7 +73,7 @@ class HashAccum {
     }
   }
 
-  /// Symbolic insert: record that column c appears (Spa::mark semantics).
+  /// Symbolic insert: record that column c appears, without a value.
   void mark(Index c) {
     const size_t s = find_slot(c);
     if (stamp_[s] != generation_) insert(s, c);

@@ -18,13 +18,16 @@
 // PatternBitmap is the symbolic-phase (pattern-only) counterpart: one
 // bit per column in 64-column blocks, a 128x smaller working set than
 // the SPA's value+stamp arrays, with reset cost proportional to the
-// blocks actually touched.
+// blocks actually touched.  Its sorted extract orders the touched block
+// ids, not the columns, so a dense row needs no comparison sort.
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <span>
+#include <utility>
 
 #include "parallel/arena.hpp"
 #include "sparse/csr_matrix.hpp"
@@ -64,14 +67,6 @@ class Spa {
       touched_[count_++] = c;
     } else {
       values_[c] += v;
-    }
-  }
-
-  /// Symbolic insert: record that column c appears, without a value.
-  void mark(Index c) {
-    if (stamp_[c] != generation_) {
-      stamp_[c] = generation_;
-      touched_[count_++] = c;
     }
   }
 
@@ -151,8 +146,23 @@ class PatternBitmap {
     }
   }
 
-  /// Distinct columns marked since the last reset().
+  /// Distinct columns marked since the last reset() or extract_sorted().
   size_t count() const { return count_; }
+
+  /// Write the marked columns, ascending, into `out` (room for count())
+  /// and clear for the next row; returns the count.
+  size_t extract_sorted(Index* out) {
+    std::sort(touched_words_.begin(),
+              touched_words_.begin() + touched_count_);
+    for (size_t t = 0, n = 0; t < touched_count_; ++t) {
+      const uint32_t w = touched_words_[t];
+      for (uint64_t bits = std::exchange(words_[w], 0); bits != 0;
+           bits &= bits - 1)
+        out[n++] = w * 64 + static_cast<Index>(std::countr_zero(bits));
+    }
+    touched_count_ = 0;
+    return std::exchange(count_, 0);
+  }
 
   /// Clear for the next row: only touched blocks are zeroed.
   void reset() {

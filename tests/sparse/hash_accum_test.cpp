@@ -227,5 +227,35 @@ TEST(PatternBitmap, CountsDistinctAndResetsTouchedBlocksOnly) {
   EXPECT_EQ(bitmap.count(), 1u);
 }
 
+TEST(PatternBitmap, ExtractSortedWritesAscendingColumnsAndClears) {
+  const Index cols = 1000;  // the last word is partial
+  Arena arena;
+  PatternBitmap bitmap;
+  bitmap.ensure(arena, cols);
+  // Marked out of order, across words, with repeats.
+  for (Index c : {cols - 1, 64u, 0u, 63u, 500u, 64u, cols - 1, 0u})
+    bitmap.mark(c);
+  std::vector<Index> out(bitmap.count());
+  EXPECT_EQ(bitmap.extract_sorted(out.data()), 5u);
+  EXPECT_EQ(out, (std::vector<Index>{0, 63, 64, 500, cols - 1}));
+
+  // An empty row extracts nothing.
+  EXPECT_EQ(bitmap.count(), 0u);
+  EXPECT_EQ(bitmap.extract_sorted(nullptr), 0u);
+
+  // A full word (columns 128..191) comes out whole and in order; the next
+  // row counts from zero, so the words the extract left behind are clear.
+  for (Index c = 191; c >= 128; --c) bitmap.mark(c);
+  EXPECT_EQ(bitmap.count(), 64u);
+  out.assign(64, 0);
+  EXPECT_EQ(bitmap.extract_sorted(out.data()), 64u);
+  for (Index t = 0; t < 64; ++t) EXPECT_EQ(out[t], 128 + t);
+  for (Index c : {0u, 63u, 64u, 130u, cols - 1}) bitmap.mark(c);
+  EXPECT_EQ(bitmap.count(), 5u);
+  out.assign(5, 0);
+  EXPECT_EQ(bitmap.extract_sorted(out.data()), 5u);
+  EXPECT_EQ(out, (std::vector<Index>{0, 63, 64, 130, cols - 1}));
+}
+
 }  // namespace
 }  // namespace nbwp::sparse

@@ -257,6 +257,29 @@ TEST(SpgemmWorkspace, RepeatedProductsKeepIdleBytesFlat) {
   EXPECT_EQ(after_all.idle_bytes, after_first.idle_bytes);
 }
 
+TEST(SpgemmWorkspace, RepeatedPlanBuildsKeepIdleBytesFlat) {
+  // A plan build writes C's pattern to scratch that it unmaps before
+  // returning, so the pooled workspaces never hold it: rebuilding the
+  // same plan creates and grows nothing, and trim hands back every byte.
+  Rng rng(48);
+  const CsrMatrix a = scale_free(1200, 9, 2.1, rng);
+  ThreadPool pool(1);  // one lease at a time: the pool's size is exact
+  spgemm_workspace_trim();
+  const SpgemmPlan first = spgemm_plan(a, a, pool);
+  const auto after_first = spgemm_workspace_stats();
+  EXPECT_EQ(after_first.idle, 1u);
+  EXPECT_LT(after_first.idle_bytes, first.nnz() * sizeof(Index));
+  for (int pass = 0; pass < 5; ++pass) {
+    const SpgemmPlan again = spgemm_plan(a, a, pool);
+    EXPECT_EQ(again.col_idx, first.col_idx);
+  }
+  const auto after_all = spgemm_workspace_stats();
+  EXPECT_EQ(after_all.created, after_first.created);
+  EXPECT_EQ(after_all.idle_bytes, after_first.idle_bytes);
+  EXPECT_EQ(spgemm_workspace_trim(), after_all.idle_bytes);
+  EXPECT_EQ(spgemm_workspace_stats().idle_bytes, 0u);
+}
+
 TEST(SpgemmWorkspace, TrimKeepsRequestedNumberIdle) {
   Rng rng(44);
   const CsrMatrix a = random_uniform(600, 600, 3000, rng);
