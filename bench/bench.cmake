@@ -18,13 +18,11 @@ set(NBWP_BENCH_TARGETS
   table2_datasets
   fit_extrapolation
   ablate_identify
-  ablate_repeats
   ablate_schedulers
   ablate_sampling_method
   extra_energy
   extra_workloads
-  ablate_objective
-  serve_throughput)
+  ablate_objective)
 
 foreach(target ${NBWP_BENCH_TARGETS})
   add_executable(${target} ${CMAKE_SOURCE_DIR}/bench/${target}.cpp)

@@ -1,7 +1,6 @@
 #!/usr/bin/env bash
-# Refresh the committed perf baselines at the repo root:
-#   BENCH_kernels.json — google-benchmark aggregates from kernels_microbench
-#   BENCH_serve.json   — plan-service throughput rounds from serve_throughput
+# Refresh the committed perf baseline at the repo root: BENCH_kernels.json,
+# the google-benchmark aggregates from kernels_microbench.
 #
 # Run on an otherwise idle machine.  Repetitions + random interleaving
 # defend the medians against the frequency/thermal drift that single
@@ -21,13 +20,11 @@ REPS="${BENCH_REPS:-5}"
 NBWP_GIT_SHA="$(git rev-parse HEAD 2>/dev/null || echo '')"
 export NBWP_GIT_SHA
 
-for exe in bench/kernels_microbench bench/serve_throughput; do
-  if [[ ! -x "$BUILD_DIR/$exe" ]]; then
-    echo "bench_snapshot: $BUILD_DIR/$exe not built" >&2
-    echo "  cmake -B $BUILD_DIR -S . -DCMAKE_BUILD_TYPE=Release && cmake --build $BUILD_DIR -j" >&2
-    exit 1
-  fi
-done
+if [[ ! -x "$BUILD_DIR/bench/kernels_microbench" ]]; then
+  echo "bench_snapshot: $BUILD_DIR/bench/kernels_microbench not built" >&2
+  echo "  cmake -B $BUILD_DIR -S . -DCMAKE_BUILD_TYPE=Release && cmake --build $BUILD_DIR -j" >&2
+  exit 1
+fi
 
 echo "bench_snapshot: loadavg $(cut -d' ' -f1-3 /proc/loadavg 2>/dev/null || echo '?')"
 
@@ -68,12 +65,6 @@ print(f"bench_snapshot: refreshed {len(refreshed)} gated benchmarks "
 EOF
 rm -f BENCH_pairs.tmp.json
 
-# Defaults include the 10k-request stress phase and the SLO evaluation;
-# the run also writes BENCH_serve.json.manifest.json (provenance: git
-# SHA, hostname, CPU model) next to the JSON — commit both.
-"$BUILD_DIR/bench/serve_throughput" --json BENCH_serve.json
-
 python3 scripts/check_bench_regression.py \
-  --baseline BENCH_kernels.json --current BENCH_kernels.json \
-  --serve-baseline BENCH_serve.json --serve-current BENCH_serve.json
-echo "bench_snapshot: wrote BENCH_kernels.json and BENCH_serve.json (+manifest)"
+  --baseline BENCH_kernels.json --current BENCH_kernels.json
+echo "bench_snapshot: wrote BENCH_kernels.json"

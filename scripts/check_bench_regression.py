@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Perf-regression gate over kernels_microbench and serve_throughput JSON.
+"""Perf-regression gate over kernels_microbench JSON.
 
 Statistic: the *minimum* real_time over a benchmark's repetitions when
 raw repetition entries are present (the best-case run is the least
@@ -48,23 +48,6 @@ Two layers of checks:
    --absolute-tolerance.  Absolute times only mean something on the
    machine that produced the baseline, so --absolute is off by default
    and CI runs ratio checks only.
-
-With --serve-current (and optionally --serve-baseline, the committed
-BENCH_serve.json) the same two layers run over the serve bench's
-per-class latency summaries (stress.latency_ms, written by
-bench/serve_throughput):
-
-1. Within-file invariants, machine-independent by construction:
-   the bench's own claims hold (exact repeats identical, warm rounds
-   cheaper, SLO ok), an exact cache hit is far cheaper than a cold miss
-   (exact.p50 <= 0.5 * miss.p50, and even the exact tail beats the miss
-   median: exact.p99 <= miss.p50), and a warm start does not cost more
-   than --serve-near-bound cold solves.
-2. Drift vs --serve-baseline: the exact/miss and near/miss p50 ratios
-   may not grow past --serve-ratio-growth times the snapshot's value
-   (floored at the invariant bound — class medians come from few miss
-   samples, so this gate catches order-of-magnitude regressions such as
-   a cache hit suddenly paying a solve, not small jitter).
 
 Exit status is non-zero if any check fails; every check is printed.
 """
@@ -207,81 +190,13 @@ def note_oversubscribed(path, stats):
                   f"oversubscribed: shows work reduction, not scaling")
 
 
-def serve_latency(path):
-    """(claims dict, per-class latency summaries) from BENCH_serve.json."""
-    with open(path, encoding="utf-8") as f:
-        data = json.load(f)
-    claims = {key: data.get(key) for key in
-              ("exact_repeat_identical", "warm_fewer_evals_than_cold",
-               "slo_ok")}
-    latency = data.get("stress", {}).get("latency_ms", {})
-    return claims, latency
-
-
-def check_serve(args, check):
-    claims, latency = serve_latency(args.serve_current)
-    print(f"serve invariants in {args.serve_current}:")
-    for key, value in claims.items():
-        check(value is True, f"claim {key}: {value}")
-    for cls in ("exact", "miss"):
-        check(cls in latency and latency[cls].get("count", 0) > 0,
-              f"latency class '{cls}' recorded")
-    if not ("exact" in latency and "miss" in latency):
-        return
-    exact, miss = latency["exact"], latency["miss"]
-    check(exact["p50"] <= 0.5 * miss["p50"],
-          f"exact.p50 {exact['p50']:.4g}ms <= 0.5 x miss.p50 "
-          f"{miss['p50']:.4g}ms")
-    check(exact["p99"] <= miss["p50"],
-          f"exact.p99 {exact['p99']:.4g}ms <= miss.p50 "
-          f"{miss['p50']:.4g}ms")
-    near = latency.get("near")
-    if near:
-        check(near["p50"] <= args.serve_near_bound * miss["p50"],
-              f"near.p50 {near['p50']:.4g}ms <= {args.serve_near_bound} x "
-              f"miss.p50 {miss['p50']:.4g}ms")
-
-    if not args.serve_baseline:
-        return
-    _, base = serve_latency(args.serve_baseline)
-    print(f"serve ratio drift vs {args.serve_baseline}:")
-    if not ("exact" in base and "miss" in base):
-        # A committed serve baseline without class latencies is stale or
-        # malformed; fail instead of silently skipping the drift layer.
-        check(False, f"baseline {args.serve_baseline} has no exact/miss "
-                     f"class latencies (regenerate the snapshot)")
-        return
-    growth = args.serve_ratio_growth
-    pairs = [("exact/miss p50", "exact", 0.5),
-             ("near/miss p50", "near", args.serve_near_bound)]
-    for label, cls, floor in pairs:
-        if cls not in latency:
-            # The class never occurred in this (short) run; only "near"
-            # is legitimately optional, and its absence is visible above.
-            print(f"  skip {label}: class '{cls}' absent from current run")
-            continue
-        if cls not in base:
-            check(False, f"{label}: class '{cls}' missing from baseline "
-                         f"{args.serve_baseline} (regenerate the snapshot)")
-            continue
-        cur_p50 = latency[cls]["p50"]
-        miss_p50 = latency["miss"]["p50"]
-        ratio = cur_p50 / miss_p50
-        base_ratio = base[cls]["p50"] / base["miss"]["p50"]
-        limit = max(floor, base_ratio * growth)
-        check(ratio <= limit,
-              f"{label}: ratio {ratio:.4g} = {cur_p50:.4g}ms / "
-              f"{miss_p50:.4g}ms vs snapshot {base_ratio:.4g} "
-              f"(limit {limit:.3g})")
-
-
 def main():
     parser = argparse.ArgumentParser(
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--baseline",
+    parser.add_argument("--baseline", required=True,
                         help="committed BENCH_kernels.json")
-    parser.add_argument("--current",
+    parser.add_argument("--current", required=True,
                         help="freshly produced benchmark JSON")
     parser.add_argument("--ratio-tolerance", type=float, default=0.25,
                         help="allowed adaptive/pinned ratio above 1.0 and "
@@ -292,24 +207,7 @@ def main():
     parser.add_argument("--absolute-tolerance", type=float, default=0.30,
                         help="allowed per-benchmark median slowdown vs "
                              "baseline with --absolute")
-    parser.add_argument("--serve-current",
-                        help="freshly produced BENCH_serve.json")
-    parser.add_argument("--serve-baseline",
-                        help="committed BENCH_serve.json for ratio drift")
-    parser.add_argument("--serve-near-bound", type=float, default=2.0,
-                        help="allowed near.p50 as a multiple of miss.p50")
-    parser.add_argument("--serve-ratio-growth", type=float, default=8.0,
-                        help="allowed growth of per-class latency ratios "
-                             "vs the serve baseline (class medians come "
-                             "from few samples; this catches order-of-"
-                             "magnitude regressions)")
     args = parser.parse_args()
-
-    if bool(args.baseline) != bool(args.current):
-        parser.error("--baseline and --current must be given together")
-    if not args.current and not args.serve_current:
-        parser.error("nothing to check: give --baseline/--current and/or "
-                     "--serve-current")
 
     failures = []
 
@@ -317,15 +215,6 @@ def main():
         print(("  ok   " if ok else "  FAIL ") + line)
         if not ok:
             failures.append(line)
-
-    if args.serve_current:
-        check_serve(args, check)
-    if not args.current:
-        if failures:
-            print(f"check_bench_regression: FAIL ({len(failures)} checks)")
-            return 1
-        print("check_bench_regression: OK")
-        return 0
 
     baseline = load_stats(args.baseline)
     current = load_stats(args.current)

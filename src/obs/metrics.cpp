@@ -2,66 +2,7 @@
 
 #include <algorithm>
 
-#include "util/stats.hpp"
-
 namespace nbwp::obs {
-
-Histogram::Histogram(HistogramMode mode) : mode_(mode) {
-  if (mode_ == HistogramMode::kStreaming)
-    stream_ = std::make_unique<StreamingHistogram>();
-}
-
-void Histogram::record(double sample) {
-  if (stream_) {
-    stream_->record(sample);
-    return;
-  }
-  std::scoped_lock lock(mutex_);
-  samples_.push_back(sample);
-}
-
-size_t Histogram::count() const {
-  if (stream_) return stream_->count();
-  std::scoped_lock lock(mutex_);
-  return samples_.size();
-}
-
-HistogramSummary Histogram::summary() const {
-  if (stream_) return stream_->summary();
-  std::vector<double> xs;
-  {
-    std::scoped_lock lock(mutex_);
-    xs = samples_;
-  }
-  HistogramSummary s;
-  if (xs.empty()) return s;
-  s.count = xs.size();
-  for (double x : xs) s.sum += x;
-  s.mean = s.sum / static_cast<double>(xs.size());
-  s.min = min_of(xs);
-  s.max = max_of(xs);
-  s.p50 = percentile(xs, 50.0);
-  s.p95 = percentile(xs, 95.0);
-  s.p99 = percentile(xs, 99.0);
-  return s;
-}
-
-HistogramSummary Histogram::window_summary() const {
-  if (stream_) return stream_->window_summary();
-  return summary();
-}
-
-std::vector<double> Histogram::samples() const {
-  if (stream_) return {};
-  std::scoped_lock lock(mutex_);
-  return samples_;
-}
-
-size_t Histogram::memory_bytes() const {
-  if (stream_) return sizeof(*this) + stream_->memory_bytes();
-  std::scoped_lock lock(mutex_);
-  return sizeof(*this) + samples_.capacity() * sizeof(double);
-}
 
 std::string labeled_name(const std::string& name, const Labels& labels) {
   if (labels.empty()) return name;

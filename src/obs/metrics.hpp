@@ -7,12 +7,10 @@
 // values (utilization), histograms summarize samples as p50/p95/p99
 // (span durations, request latencies).
 //
-// Histograms default to the fixed-memory streaming backend
+// Histograms are backed by the fixed-memory streaming histogram
 // (obs/streaming_histogram.hpp): million-request serving runs keep O(1)
 // memory per metric and additionally expose a sliding-window summary for
-// SLO evaluation.  The exact-sample backend survives behind
-// HistogramMode::kExact for tests that need bit-exact percentile parity
-// with util/stats.
+// SLO evaluation.
 //
 // Metrics can carry labels (e.g. `serve.requests{class="exact"}`): a
 // label set is folded into the metric key with
@@ -82,54 +80,25 @@ struct HistogramSummary {
   double p50 = 0, p95 = 0, p99 = 0;
 };
 
-/// Which backend a Histogram uses.
-enum class HistogramMode {
-  kStreaming,  ///< fixed-memory log buckets + sliding window (default)
-  kExact,      ///< every raw sample kept; util/stats percentile parity
-};
-
-namespace detail {
-inline std::atomic<HistogramMode> g_histogram_mode{
-    HistogramMode::kStreaming};
-}  // namespace detail
-
-/// Backend newly created registry histograms use.  Tests that assert
-/// exact percentile arithmetic switch to kExact (and restore).
-inline HistogramMode default_histogram_mode() {
-  return detail::g_histogram_mode.load(std::memory_order_relaxed);
-}
-inline void set_default_histogram_mode(HistogramMode mode) {
-  detail::g_histogram_mode.store(mode, std::memory_order_relaxed);
-}
-
-/// Latency/size distribution.  The streaming backend is bounded-memory
-/// and additionally answers window_summary() over the recent sliding
-/// window; the exact backend keeps raw samples (short runs, tests).
+/// Latency/size distribution over a bounded-memory streaming backend
+/// that additionally answers window_summary() over the recent sliding
+/// window.
 class Histogram {
  public:
-  Histogram() : Histogram(default_histogram_mode()) {}
-  explicit Histogram(HistogramMode mode);
-
-  void record(double sample);
-  size_t count() const;
-  HistogramSummary summary() const;
-  /// Streaming: summary over the sliding window (cumulative fallback
-  /// when the window is empty).  Exact: same as summary().
-  HistogramSummary window_summary() const;
-  std::vector<double> samples() const;  ///< exact mode only; else empty
-  HistogramMode mode() const { return mode_; }
-  /// Current footprint: fixed for streaming, grows with samples (exact).
-  size_t memory_bytes() const;
+  void record(double sample) { stream_.record(sample); }
+  size_t count() const { return stream_.count(); }
+  HistogramSummary summary() const { return stream_.summary(); }
+  /// Summary over the sliding window (cumulative fallback when the
+  /// window is empty).
+  HistogramSummary window_summary() const { return stream_.window_summary(); }
+  /// Fixed footprint, independent of the number of samples.
+  size_t memory_bytes() const { return stream_.memory_bytes(); }
   /// The streaming backend, for tests that drive slice rotation with a
-  /// fake clock (StreamingHistogram::set_clock_for_test).  nullptr in
-  /// exact mode.
-  StreamingHistogram* stream_for_test() { return stream_.get(); }
+  /// fake clock (StreamingHistogram::set_clock_for_test).
+  StreamingHistogram* stream_for_test() { return &stream_; }
 
  private:
-  HistogramMode mode_;
-  std::unique_ptr<StreamingHistogram> stream_;  ///< streaming mode
-  mutable std::mutex mutex_;                    ///< exact mode
-  std::vector<double> samples_;
+  StreamingHistogram stream_;
 };
 
 /// One metric label.  Keys are sanitized to [A-Za-z0-9_]; values are

@@ -13,7 +13,7 @@
 // requests — the thing you dump when production latency goes sideways
 // and the histograms only tell you *that* p99 moved, not *which*
 // requests moved it.  Dumps happen on demand (nbwp_cli
-// --flight-recorder, serve_throughput --flight-recorder), and
+// --flight-recorder), and
 // automatically when a request finishes degraded (fault) or over the
 // configured latency threshold (breach) and a dump path is configured.
 //

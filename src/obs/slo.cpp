@@ -174,7 +174,6 @@ SloReport SloMonitor::evaluate(const Registry& registry) const {
         r.ok = false;
       } else {
         const HistogramSummary s = h->window_summary();
-        r.windowed = h->mode() == HistogramMode::kStreaming;
         if (obj.stat == "p50") r.observed = s.p50;
         if (obj.stat == "p95") r.observed = s.p95;
         if (obj.stat == "p99") r.observed = s.p99;
@@ -214,7 +213,7 @@ void write_slo_report_json(std::ostream& os, const SloReport& report) {
     os << strfmt(
         "{\"spec\":%s,\"kind\":%s,\"metric\":%s,%s\"bound\":%.17g,"
         "\"observed\":%.17g,\"burn_rate\":%.6g,\"ok\":%s,"
-        "\"windowed\":%s,\"missing\":%s}",
+        "\"missing\":%s}",
         json_quote(o.spec).c_str(),
         o.kind == SloObjective::Kind::kLatency ? "\"latency\""
                                                : "\"error_rate\"",
@@ -224,8 +223,7 @@ void write_slo_report_json(std::ostream& os, const SloReport& report) {
             : strfmt("\"total\":%s,", json_quote(o.total).c_str()).c_str(),
         o.bound, r.observed,
         std::isfinite(r.burn_rate) ? r.burn_rate : -1.0,
-        r.ok ? "true" : "false", r.windowed ? "true" : "false",
-        r.missing ? "true" : "false");
+        r.ok ? "true" : "false", r.missing ? "true" : "false");
   }
   os << "]}";
 }

@@ -15,15 +15,14 @@
 //
 // Latency objectives evaluate on the histogram's sliding window
 // (StreamingHistogram window_summary(); cumulative fallback when the
-// window is empty or the histogram is exact-mode), error rates on the
+// window is empty), error rates on the
 // cumulative counters.  Each result reports a burn rate —
 // observed/bound — so a dashboard or admission controller can see *how
 // hard* an objective is burning, not just that it tripped: burn > 1
 // is out of budget, ~0.5 means half the budget is consumed.
 //
-// This is the signal the ROADMAP's SLO-aware admission controller will
-// consume; today it is surfaced by `nbwp_cli --slo` and
-// `bench/serve_throughput --slo`.
+// serve::AdmissionController consumes the burn rate to demote work under
+// overload; `nbwp_cli --slo` surfaces the report.
 #pragma once
 
 #include <iosfwd>
@@ -49,8 +48,7 @@ struct SloResult {
   double observed = 0;
   double burn_rate = 0;  ///< observed / bound; > 1 means out of budget
   bool ok = false;
-  bool windowed = false;  ///< evaluated on a sliding window
-  bool missing = false;   ///< metric absent from the registry
+  bool missing = false;  ///< metric absent from the registry
 };
 
 struct SloReport {

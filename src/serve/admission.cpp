@@ -348,9 +348,10 @@ std::future<AdmitOutcome> AdmissionController::submit(PlanRequest request,
   auto& queue = queues_[static_cast<size_t>(priority)];
 
   auto degrade_inline = [&](const char* why) {
-    // Interactive never waits on a full queue: plan it right here on the
-    // submitting thread at the cheapest floor.  naive_static reads the
-    // spec sheets only, so "inline" is microseconds, not a search.
+    // Interactive and batch never wait on (or bounce off) a full queue:
+    // plan right here on the submitting thread at the cheapest floor.
+    // naive_static reads the spec sheets only, so "inline" is
+    // microseconds, not a search.
     job.floor = core::FallbackStage::kNaiveStatic;
     job.detail = append_detail(std::move(job.detail), why);
     lock.unlock();
@@ -358,7 +359,7 @@ std::future<AdmitOutcome> AdmissionController::submit(PlanRequest request,
   };
 
   if (queue.size() >= caps[static_cast<size_t>(priority)]) {
-    if (priority == Priority::kInteractive) {
+    if (priority != Priority::kBestEffort) {
       degrade_inline("queue_full");
       return result;
     }
@@ -377,7 +378,7 @@ std::future<AdmitOutcome> AdmissionController::submit(PlanRequest request,
       // best-effort request is evicted to make room.
       victim = std::move(best_effort.front());
       best_effort.pop_front();
-    } else if (priority == Priority::kInteractive) {
+    } else if (priority != Priority::kBestEffort) {
       degrade_inline("total_backlog");
       return result;
     } else {

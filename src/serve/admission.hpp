@@ -18,9 +18,11 @@
 //     best-effort requests are shed outright with a typed rejection;
 //   * backpressure is structural: each class queue is bounded, the total
 //     backlog is bounded, and when a higher class arrives into a full
-//     total backlog the oldest queued best-effort request is evicted —
-//     interactive p99 holds while batch and best-effort absorb the
-//     damage;
+//     total backlog the oldest queued best-effort request is evicted;
+//     an interactive or batch request that still finds no room (its
+//     class queue full, or a full backlog with no best-effort to evict)
+//     is planned inline at the naive_static floor.  Short of shutdown,
+//     only best-effort requests are ever shed;
 //   * a request whose deadline expired while queued is shed (best-effort)
 //     or finished at the naive_static floor (interactive / batch), so the
 //     answer is late-but-valid rather than expensive-and-pointless.
@@ -30,9 +32,9 @@
 // serve.queue.depth.high_water{class=...} gauges (reset at phase
 // boundaries via reset_queue_gauges(), mirroring
 // spgemm_workspace_reset_high_water()), and per-class end-to-end latency
-// histograms serve.e2e_ms{class=...} — the series the overload bench
-// phase and its SLO evaluate.  See docs/ROBUSTNESS.md ("Overload &
-// admission") and docs/SERVING.md.
+// histograms serve.e2e_ms{class=...} — the series the overload drill
+// (tests/serve/admission_test.cpp) and its SLO evaluate.  See
+// docs/ROBUSTNESS.md ("Overload & admission") and docs/SERVING.md.
 #pragma once
 
 #include <array>
@@ -149,9 +151,10 @@ class AdmissionController {
 
   /// Admit, degrade, or shed `request`.  Never blocks on planning: the
   /// returned future resolves when a worker finishes the job (or
-  /// immediately, for shed requests and for interactive requests that
-  /// degrade inline because their queue is full).  `deadline_ms` is
-  /// relative to now; 0 uses options().default_deadline_ms.
+  /// immediately, for shed requests and for interactive or batch
+  /// requests that degrade inline because their queue is full).
+  /// `deadline_ms` is relative to now; 0 uses
+  /// options().default_deadline_ms.
   std::future<AdmitOutcome> submit(PlanRequest request, Priority priority,
                                    double deadline_ms = 0);
 

@@ -150,5 +150,27 @@ TEST(EndToEnd, RandomSamplesBeatPredeterminedOnAverage) {
   EXPECT_LE(random_pen, worst_corner + 0.02);
 }
 
+TEST(CalibrationAnchor, ExhaustiveOptimaLandInThePaperBands) {
+  // docs/COST_MODEL.md anchor 2: the exhaustive optimum gives the GPU
+  // 74-84% of the CC vertices and the CPU 32-59% of the spmm work.  One
+  // input per Table II family, at the scale the figure benches use for
+  // the largest inputs.
+  for (const char* name :
+       {"rma10", "qcd5_4", "delaunay_n22", "webbase-1M", "netherlands_osm"}) {
+    SCOPED_TRACE(name);
+    const auto& spec = datasets::spec_by_name(name);
+    const hetalg::HeteroCc cc(datasets::make_graph(spec, 0.25), plat());
+    const double gpu_share =
+        100.0 - core::exhaustive_search(cc, 1.0).best_threshold;
+    EXPECT_GE(gpu_share, 74.0);
+    EXPECT_LE(gpu_share, 84.0);
+    const hetalg::HeteroSpmm spmm(datasets::make_matrix(spec, 0.25), plat());
+    const double cpu_share =
+        core::exhaustive_search(spmm, 1.0).best_threshold;
+    EXPECT_GE(cpu_share, 32.0);
+    EXPECT_LE(cpu_share, 59.0);
+  }
+}
+
 }  // namespace
 }  // namespace nbwp

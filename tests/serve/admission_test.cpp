@@ -2,22 +2,30 @@
 // overload (token exhaustion, queue pressure, SLO burn) degrades
 // interactive/batch to a cheaper fallback floor and sheds best-effort
 // with a typed rejection; backpressure evicts the oldest best-effort
-// request rather than blocking a higher class; deadlines that die in the
-// queue produce a late-but-valid naive-static plan (or a typed shed);
-// queue-depth gauges reset at phase boundaries.
+// request rather than blocking a higher class, and a higher class that
+// still finds no room plans inline at the naive-static floor; deadlines
+// that die in the queue produce a late-but-valid naive-static plan (or a
+// typed shed); queue-depth gauges reset at phase boundaries; an overload
+// drill on a faulted platform sheds only best-effort and keeps the
+// interactive end-to-end p99 within its SLO.
 #include "serve/admission.hpp"
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <future>
 #include <optional>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "core/identify.hpp"
 #include "hetalg/hetero_spmm.hpp"
+#include "hetsim/faults.hpp"
 #include "obs/metrics.hpp"
+#include "obs/slo.hpp"
 #include "sparse/generators.hpp"
 #include "util/rng.hpp"
 
@@ -40,9 +48,10 @@ core::RobustConfig spmm_config() {
   return cfg;
 }
 
-PlanRequest request(const std::string& id, uint64_t seed = 1) {
-  return make_plan_request(id, "spmm",
-                           spmm_problem(hetsim::Platform::reference(), seed),
+PlanRequest request(const std::string& id, uint64_t seed = 1,
+                    const hetsim::Platform& platform =
+                        hetsim::Platform::reference()) {
+  return make_plan_request(id, "spmm", spmm_problem(platform, seed),
                            spmm_config());
 }
 
@@ -162,7 +171,7 @@ TEST(Admission, SevereBurnRateDemotesToNaiveStaticFloor) {
   obs::Registry::global().clear();
 }
 
-TEST(Admission, QueueFullShedsBatchAndDegradesInteractiveInline) {
+TEST(Admission, QueueFullDegradesBatchAndInteractiveInlineShedsBestEffort) {
   PlanService service(cache_off());
   AdmissionController::Options options;
   options.workers = 1;
@@ -170,6 +179,7 @@ TEST(Admission, QueueFullShedsBatchAndDegradesInteractiveInline) {
   options.batch_queue = 1;
   options.best_effort_queue = 1;
   options.total_queue = 8;
+  options.queue_pressure = 2.0;  // isolate the queue-full rule
   AdmissionController controller(service, options);
 
   std::promise<void> gate;
@@ -179,24 +189,71 @@ TEST(Admission, QueueFullShedsBatchAndDegradesInteractiveInline) {
       Priority::kBatch);
   started.get_future().wait();  // the lone worker is pinned on b0
 
-  auto b1 = controller.submit(request("b1", 11), Priority::kBatch);
-  auto b2 = controller.submit(request("b2", 12), Priority::kBatch);
-  const AdmitOutcome shed = b2.get();  // resolved immediately: queue full
+  // Interactive and batch never bounce off a full queue: the overflow
+  // degrades inline on the submitting thread, so its future is already
+  // resolved when submit() returns.
+  std::vector<std::future<AdmitOutcome>> queued;
+  for (const Priority priority : {Priority::kBatch, Priority::kInteractive}) {
+    SCOPED_TRACE(priority_name(priority));
+    const std::string name = priority_name(priority);
+    queued.push_back(controller.submit(request(name + "1", 11), priority));
+    auto overflow = controller.submit(request(name + "2", 12), priority);
+    ASSERT_EQ(overflow.wait_for(std::chrono::seconds(0)),
+              std::future_status::ready);
+    const AdmitOutcome out = overflow.get();
+    EXPECT_EQ(out.status, AdmitStatus::kDegraded);
+    EXPECT_EQ(out.floor, core::FallbackStage::kNaiveStatic);
+    EXPECT_NE(out.detail.find("queue_full"), std::string::npos) << out.detail;
+    EXPECT_TRUE(std::isfinite(out.plan.threshold));
+  }
+
+  // Best-effort is the only class that is shed.
+  queued.push_back(
+      controller.submit(request("be1", 13), Priority::kBestEffort));
+  const AdmitOutcome shed =
+      controller.submit(request("be2", 14), Priority::kBestEffort).get();
   EXPECT_EQ(shed.status, AdmitStatus::kShed);
   EXPECT_EQ(shed.shed_reason, ShedReason::kQueueFull);
 
-  auto i1 = controller.submit(request("i1", 13), Priority::kInteractive);
-  auto i2 = controller.submit(request("i2", 14), Priority::kInteractive);
-  // Interactive never waits on a full queue: i2 degrades inline on the
-  // submitting thread, so its future is already resolved.
-  ASSERT_EQ(i2.wait_for(std::chrono::seconds(0)),
-            std::future_status::ready);
-  const AdmitOutcome inline_degraded = i2.get();
-  EXPECT_EQ(inline_degraded.status, AdmitStatus::kDegraded);
-  EXPECT_EQ(inline_degraded.floor, core::FallbackStage::kNaiveStatic);
-  EXPECT_NE(inline_degraded.detail.find("queue_full"), std::string::npos)
-      << inline_degraded.detail;
-  EXPECT_TRUE(std::isfinite(inline_degraded.plan.threshold));
+  gate.set_value();
+  controller.drain();
+  EXPECT_EQ(b0.get().status, AdmitStatus::kPlanned);
+  for (auto& f : queued) EXPECT_EQ(f.get().status, AdmitStatus::kPlanned);
+  EXPECT_EQ(controller.counts(Priority::kBatch).shed, 0u);
+  EXPECT_EQ(controller.counts(Priority::kBatch).degraded, 1u);
+}
+
+TEST(Admission, FullBacklogWithNothingToEvictDegradesBatchInline) {
+  PlanService service(cache_off());
+  AdmissionController::Options options;
+  options.workers = 1;
+  options.total_queue = 2;
+  options.queue_pressure = 2.0;
+  AdmissionController controller(service, options);
+
+  std::promise<void> gate;
+  std::promise<void> started;
+  auto b0 = controller.submit(
+      blocking_request("b0", 15, gate.get_future().share(), &started),
+      Priority::kBatch);
+  started.get_future().wait();
+  auto b1 = controller.submit(request("b1", 16), Priority::kBatch);
+  auto i1 = controller.submit(request("i1", 17), Priority::kInteractive);
+
+  // The backlog is full and holds no best-effort request to evict.
+  auto b2 = controller.submit(request("b2", 18), Priority::kBatch);
+  ASSERT_EQ(b2.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+  const AdmitOutcome degraded = b2.get();
+  EXPECT_EQ(degraded.status, AdmitStatus::kDegraded);
+  EXPECT_EQ(degraded.floor, core::FallbackStage::kNaiveStatic);
+  EXPECT_NE(degraded.detail.find("total_backlog"), std::string::npos)
+      << degraded.detail;
+  EXPECT_TRUE(std::isfinite(degraded.plan.threshold));
+
+  const AdmitOutcome shed =
+      controller.submit(request("be1", 19), Priority::kBestEffort).get();
+  EXPECT_EQ(shed.status, AdmitStatus::kShed);
+  EXPECT_EQ(shed.shed_reason, ShedReason::kQueueFull);
 
   gate.set_value();
   controller.drain();
@@ -363,6 +420,96 @@ TEST(Admission, QueueDepthHighWaterGaugesResetAtPhaseBoundary) {
     for (auto& f : queued) (void)f.get();
   }
   obs::set_metrics_enabled(false);
+  obs::Registry::global().clear();
+}
+
+TEST(Admission, OverloadDrillShedsOnlyBestEffortAndHoldsInteractiveSlo) {
+  // Back-to-back submission against a token bucket far below the submit
+  // rate, on a platform with transient GPU faults: overload is
+  // structural, not a timing accident.
+  obs::Registry::global().clear();
+  obs::set_metrics_enabled(true);
+  hetsim::Platform platform = hetsim::Platform::reference();
+  platform.set_fault_plan(
+      hetsim::FaultPlan::parse("gpu-transient-rate=0.05,retries=2"));
+  std::vector<PlanRequest> pool;
+  for (uint64_t seed = 60; seed < 66; ++seed)
+    pool.push_back(request("p" + std::to_string(seed), seed, platform));
+
+  PlanService service;
+  AdmissionController::Options options;
+  options.interactive_queue = 32;
+  options.batch_queue = 64;
+  options.best_effort_queue = 16;
+  options.total_queue = 48;  // below the cap sum: forces eviction
+  options.workers = 2;
+  options.tokens_per_sec = 200;
+  options.bucket_capacity = 16;
+  options.slo = "serve.request_ms p99 < 250ms";
+  constexpr size_t kRequests = 600;
+  const std::array<double, kPriorityCount> deadline_ms = {50, 200, 25};
+  std::array<AdmissionController::ClassCounts, kPriorityCount> counts{};
+  {
+    AdmissionController controller(service, options);
+    // A drained warm-up burst, then the measured segment.
+    std::vector<std::future<AdmitOutcome>> warm;
+    for (size_t i = 0; i < 24; ++i)
+      warm.push_back(controller.submit(
+          pool[i % pool.size()], static_cast<Priority>(i % kPriorityCount)));
+    for (auto& f : warm) (void)f.get();
+    controller.drain();
+
+    std::vector<std::future<AdmitOutcome>> futures;
+    for (size_t i = 0; i < kRequests; ++i) {
+      const auto priority = static_cast<Priority>(i % kPriorityCount);
+      futures.push_back(controller.submit(
+          pool[i % pool.size()], priority,
+          deadline_ms[static_cast<size_t>(priority)]));
+    }
+    for (auto& f : futures) {
+      const AdmitOutcome out = f.get();
+      auto& c = counts[static_cast<size_t>(out.priority)];
+      c.submitted++;
+      switch (out.status) {
+        case AdmitStatus::kPlanned:
+          c.admitted++;
+          break;
+        case AdmitStatus::kDegraded:
+          c.degraded++;
+          break;
+        case AdmitStatus::kShed: {
+          c.shed++;
+          const std::string reason = shed_reason_name(out.shed_reason);
+          EXPECT_TRUE(reason == "overload" || reason == "queue_full" ||
+                      reason == "evicted" || reason == "deadline" ||
+                      reason == "shutdown")
+              << reason;
+          break;
+        }
+      }
+      if (out.status != AdmitStatus::kShed) {
+        EXPECT_TRUE(std::isfinite(out.plan.threshold)) << out.plan.id;
+      }
+    }
+  }
+  obs::set_metrics_enabled(false);
+
+  const auto& interactive = counts[static_cast<size_t>(Priority::kInteractive)];
+  const auto& batch = counts[static_cast<size_t>(Priority::kBatch)];
+  const auto& best_effort = counts[static_cast<size_t>(Priority::kBestEffort)];
+  EXPECT_EQ(interactive.submitted, kRequests / kPriorityCount);
+  EXPECT_EQ(interactive.shed, 0u);
+  EXPECT_EQ(interactive.admitted + interactive.degraded,
+            interactive.submitted);
+  EXPECT_EQ(batch.shed, 0u);
+  EXPECT_GT(best_effort.shed, 0u);
+  EXPECT_GT(interactive.degraded + batch.degraded, 0u);
+
+  const obs::SloReport slo =
+      obs::SloMonitor::parse("serve.e2e_ms{class=\"interactive\"} p99 < 250ms")
+          .evaluate(obs::Registry::global());
+  EXPECT_TRUE(slo.ok()) << "interactive e2e p99 "
+                        << slo.results.at(0).observed << " ms";
   obs::Registry::global().clear();
 }
 

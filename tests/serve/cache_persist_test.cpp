@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -169,11 +170,15 @@ TEST(CachePersist, CorruptedByteRejectsSnapshotAndLeavesCacheCold) {
   bytes[bytes.size() / 2] ^= 0x01;  // land inside the entry lines
   write_file(path, bytes);
 
-  PlanCache restored;
-  const SnapshotResult result = restore_plan_cache(restored, path);
+  PlanService booted;
+  const SnapshotResult result = restore_plan_cache(booted.cache(), path);
   EXPECT_FALSE(result.ok);
   EXPECT_FALSE(result.error.empty());
-  EXPECT_EQ(restored.size(), 0u);  // untouched: cold start
+  EXPECT_EQ(booted.cache().size(), 0u);  // untouched: cold start
+  // ...and the service behind it still plans, cold and valid.
+  const PlannedPartition planned = booted.plan_one(request("cold", 1));
+  EXPECT_EQ(planned.cache, HitKind::kMiss);
+  EXPECT_TRUE(std::isfinite(planned.threshold));
 }
 
 TEST(CachePersist, TruncatedSnapshotMissingChecksumRejected) {

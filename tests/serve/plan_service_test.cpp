@@ -1,14 +1,26 @@
 // PlanService semantics: exact repeats reuse plans verbatim, near repeats
 // warm-start and never do worse than the cold search on the same sample,
 // batches coalesce identical in-flight inputs (identify runs once), and
-// fallback plans degrade per request without polluting the cache.
+// fallback plans degrade per request without polluting the cache.  The
+// serving-mix test pins the cold / repeat / perturbed evaluation counts
+// of three Table II analogs and the per-class latency invariants.
 #include "serve/plan_service.hpp"
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <sstream>
+#include <string>
+
+#include "core/extrapolate.hpp"
 #include "core/identify.hpp"
+#include "datasets/table2.hpp"
+#include "exp/experiment.hpp"
+#include "hetalg/hetero_cc.hpp"
 #include "hetalg/hetero_spmm.hpp"
+#include "hetalg/hetero_spmm_hh.hpp"
 #include "obs/metrics.hpp"
+#include "obs/slo.hpp"
 #include "sparse/generators.hpp"
 #include "util/rng.hpp"
 
@@ -36,6 +48,121 @@ PlanRequest request(const std::string& id, uint64_t seed = 1,
                         hetsim::Platform::reference()) {
   return make_plan_request(id, "spmm", spmm_problem(platform, seed),
                            spmm_config());
+}
+
+/// One request per case study, each on a Table II analog at scale 0.05
+/// generated with `generation_seed`: cc:pwtk, spmm:cant, hh:web-BerkStan.
+std::vector<PlanRequest> serving_mix(uint64_t generation_seed,
+                                     const std::string& tag) {
+  exp::SuiteOptions opt;
+  opt.scale = 0.05;
+  opt.seed = generation_seed;
+  const hetsim::Platform& platform = hetsim::Platform::reference();
+
+  core::RobustConfig cc;
+  cc.sampling.method = core::IdentifyMethod::kCoarseToFine;
+  cc.sampling.warm.halfwidth = 4;
+  cc.sampling.warm.step = 1;
+  core::RobustConfig hh;
+  hh.sampling.method = core::IdentifyMethod::kGradientDescent;
+  hh.sampling.gradient.log_space = true;
+  hh.sampling.gradient.starts = 2;
+  hh.sampling.gradient.max_iterations = 10;
+  hh.sampling.gradient.initial_step_fraction = 0.2;
+  hh.sampling.warm.log_space = true;
+  hh.sampling.warm.log_ratio = 1.5;
+  hh.sampling.warm.log_points = 3;
+
+  std::vector<PlanRequest> requests;
+  requests.push_back(make_plan_request(
+      "cc:pwtk:" + tag, "cc",
+      hetalg::HeteroCc(
+          exp::load_graph(datasets::spec_by_name("pwtk"), opt), platform),
+      cc));
+  requests.push_back(make_plan_request(
+      "spmm:cant:" + tag, "spmm",
+      hetalg::HeteroSpmm(
+          exp::load_matrix(datasets::spec_by_name("cant"), opt), platform),
+      spmm_config()));
+  requests.push_back(make_plan_request(
+      "hh:web-BerkStan:" + tag, "hh",
+      hetalg::HeteroSpmmHh(
+          exp::load_matrix(datasets::spec_by_name("web-BerkStan"), opt),
+          platform),
+      hh,
+      [](const hetalg::HeteroSpmmHh& full,
+         const hetalg::HeteroSpmmHh& sample, double ts) {
+        return core::work_share_extrapolate(full, sample, ts);
+      }));
+  return requests;
+}
+
+TEST(PlanService, ServingMixPinsEvaluationsAndClassLatencyInvariants) {
+  obs::Registry::global().clear();
+  obs::set_metrics_enabled(true);
+  PlanService service;
+
+  // Cold, then the identical inputs again, then the same datasets
+  // regenerated with another seed (the "crawl grown a day" case).
+  const auto cold = service.plan_all(serving_mix(1, "cold"));
+  const auto repeat = service.plan_all(serving_mix(1, "repeat"));
+  const auto perturbed = service.plan_all(serving_mix(7, "perturbed"));
+  ASSERT_EQ(cold.size(), 3u);
+  const int cold_evals[] = {27, 7, 29};
+  const int perturbed_evals[] = {9, 3, 7};
+  for (size_t i = 0; i < cold.size(); ++i) {
+    SCOPED_TRACE(cold[i].id);
+    EXPECT_EQ(cold[i].cache, HitKind::kMiss);
+    EXPECT_EQ(cold[i].evaluations, cold_evals[i]);
+    EXPECT_EQ(repeat[i].cache, HitKind::kExact);
+    EXPECT_EQ(repeat[i].evaluations, 0);
+    EXPECT_EQ(repeat[i].evals_saved, cold_evals[i]);
+    EXPECT_EQ(repeat[i].threshold, cold[i].threshold);
+    EXPECT_EQ(perturbed[i].cache, HitKind::kNear);
+    EXPECT_EQ(perturbed[i].evaluations, perturbed_evals[i]);
+    EXPECT_EQ(perturbed[i].evals_saved, cold_evals[i] - perturbed_evals[i]);
+  }
+
+  // A back-to-back pass over base and perturbed inputs: two fresh seeds
+  // warm-start once each, then every request is an exact hit, so the
+  // exact percentiles below rest on thousands of samples.
+  std::vector<PlanRequest> pool;
+  for (uint64_t seed : {1, 7, 8, 9})
+    for (auto& request : serving_mix(seed, "pool" + std::to_string(seed)))
+      pool.push_back(std::move(request));
+  for (size_t i = 0; i < 3000; ++i)
+    (void)service.plan_one(pool[i % pool.size()]);
+  obs::set_metrics_enabled(false);
+
+  std::map<std::string, obs::HistogramSummary> lat;
+  for (const char* cls : {"exact", "near", "miss"}) {
+    const obs::Histogram* h = obs::Registry::global().find_histogram(
+        obs::labeled_name("serve.request_ms", {{"class", cls}}));
+    ASSERT_NE(h, nullptr) << cls;
+    lat[cls] = h->summary();
+    EXPECT_GT(lat[cls].count, 0u) << cls;
+    EXPECT_LE(lat[cls].p50, lat[cls].p99) << cls;
+  }
+  EXPECT_GE(lat["exact"].count, 1000u);
+  // A cache hit is far cheaper than a cold search, even at its tail, and
+  // a warm start costs no more than two cold searches.
+  EXPECT_LE(lat["exact"].p50, 0.5 * lat["miss"].p50);
+  EXPECT_LE(lat["exact"].p99, lat["miss"].p50);
+  EXPECT_LE(lat["near"].p50, 2.0 * lat["miss"].p50);
+
+  const obs::SloReport report =
+      obs::SloMonitor::parse(
+          "serve.request_ms p99 < 250ms; "
+          "serve.requests{class=\"degraded\"} / serve.requests rate < 0.01")
+          .evaluate(obs::Registry::global());
+  EXPECT_TRUE(report.ok());
+  std::ostringstream json;
+  obs::write_slo_report_json(json, report);
+  for (const char* key : {"\"ok\":true", "\"objectives\":[{", "\"spec\":",
+                          "\"kind\":", "\"metric\":", "\"bound\":",
+                          "\"observed\":", "\"burn_rate\":"})
+    EXPECT_NE(json.str().find(key), std::string::npos) << key << json.str();
+  obs::Registry::global().clear();
 }
 
 TEST(PlanService, ExactRepeatReusesThresholdWithZeroEvaluations) {
