@@ -31,13 +31,13 @@ int main(int argc, char** argv) {
     double best_t_energy = 0, best_energy = -1;
     double best_t_edp = 0, best_edp = -1;
     for (double t = 0; t <= 100; ++t) {
-      const auto s = problem.structure_at(t);
-      const auto times = hetalg::spmm_times(platform, s);
+      const auto times =
+          hetalg::spmm_kway_times(platform, problem.structure_at(t));
       const double makespan = times.total_ns();
       const double energy = hetsim::energy_joules(
-          power, times.cpu_ns(), times.gpu_ns(), makespan);
-      const double edp = hetsim::energy_delay(power, times.cpu_ns(),
-                                              times.gpu_ns(), makespan);
+          power, times.device_ns[0], times.device_ns[1], makespan);
+      const double edp = hetsim::energy_delay(
+          power, times.device_ns[0], times.device_ns[1], makespan);
       if (best_time < 0 || makespan < best_time) {
         best_time = makespan;
         best_t_time = t;
@@ -52,9 +52,10 @@ int main(int argc, char** argv) {
       }
     }
     auto energy_at = [&](double t) {
-      const auto times = hetalg::spmm_times(platform, problem.structure_at(t));
-      return hetsim::energy_joules(power, times.cpu_ns(), times.gpu_ns(),
-                                   times.total_ns());
+      const auto times =
+          hetalg::spmm_kway_times(platform, problem.structure_at(t));
+      return hetsim::energy_joules(power, times.device_ns[0],
+                                   times.device_ns[1], times.total_ns());
     };
     table.add_row({name, Table::num(best_t_time, 0),
                    Table::num(best_t_energy, 0), Table::num(best_t_edp, 0),

@@ -29,8 +29,8 @@ namespace nbwp::hetalg {
 
 /// Gate one GPU kernel invocation through the platform's fault injector:
 /// true when the GPU runs it, false when it must be rerouted to the CPU.
-/// `what` names the kernel for counters/logs ("cc.sv", "spmm.c2", ...);
-/// `expected_ns` is the kernel's modeled GPU time, advanced on the
+/// `what` names the kernel for counters/logs ("cc.sv", "spmm.kway.d1",
+/// ...); `expected_ns` is the kernel's modeled GPU time, advanced on the
 /// injector's virtual clock when the invocation succeeds.  Callers that
 /// execute the kernel later (or on the pool) must gate in a fixed order
 /// on one thread, so a seeded fault plan decides the same way every run.

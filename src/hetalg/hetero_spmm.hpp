@@ -9,14 +9,19 @@
 //
 // The split percentage r is the *CPU share of the work volume* in percent.
 //
-// `run` executes the product — every device's rows in one host pool pass
-// into a single C, since virtual time comes from the structure and not
-// from host order; `time_ns` evaluates the identical cost formulas from
-// cached per-row work arrays (computed once per input), so exhaustive
+// Row bounds are the one thing Algorithm 2 prices or executes: a threshold
+// r is the two-range decomposition {0, split_row(r), rows} and a K-way
+// descriptor its K-range chain (kway_row_boundaries).  Both become one
+// SpmmKwayStructure, priced by spmm_kway_times and executed by one
+// executor — every device's rows in one host pool pass into a single C,
+// since virtual time comes from the structure and not from host order.
+// The per-row work arrays are computed once per input, so exhaustive
 // sweeps cost O(rows/32) per candidate.
 #pragma once
 
+#include <array>
 #include <memory>
+#include <optional>
 #include <span>
 #include <utility>
 
@@ -31,13 +36,14 @@ namespace nbwp::hetalg {
 
 class HeteroSpmm {
  public:
-  /// B defaults to A (the paper computes A x A for compatibility).
+  /// B defaults to A (the paper computes A x A for compatibility); the
+  /// one-matrix form holds A once and b() returns it.
   HeteroSpmm(sparse::CsrMatrix a, sparse::CsrMatrix b,
              const hetsim::Platform& platform);
   HeteroSpmm(sparse::CsrMatrix a, const hetsim::Platform& platform);
 
   const sparse::CsrMatrix& a() const { return a_; }
-  const sparse::CsrMatrix& b() const { return b_; }
+  const sparse::CsrMatrix& b() const { return b_ ? *b_ : a_; }
   const hetsim::Platform& platform() const { return *platform_; }
 
   static constexpr double threshold_lo() { return 0.0; }
@@ -49,31 +55,16 @@ class HeteroSpmm {
   /// Split row for a CPU share of r%.
   sparse::Index split_row(double r_cpu_pct) const;
 
-  /// Execute Algorithm 2.  Counters: "c_nnz", "cpu_work_ns",
-  /// "gpu_work_ns", "split_row"; phases: "phase1", "phase2.cpu",
-  /// "phase2.gpu", "stitch".  The product C itself is validated in tests.
-  ///
-  /// The first run builds a symbolic SpgemmPlan for A x B (from the
-  /// cached flops prefix) and caches it on the instance; every run (any
-  /// threshold — the split only moves the row boundary, not the pattern)
-  /// then executes one numeric-only pass over that plan on the thread
-  /// pool, writing both sides into a single C ("plan_built" counter
-  /// reports 0/1 per run).  Threshold sweeps price splits with time_ns
-  /// and never run(), so a plan usually serves one run: its build is
-  /// first-run cost, kept to one symbolic walk.
-  ///
-  /// The GPU product ("spmm.c2") is gated through the platform's fault
-  /// injector (hetalg/gpu_guard.hpp) on the calling thread before the
-  /// pass; a persistent fault reroutes it to the CPU ("phase2.reroute"
-  /// phase, "gpu_rerouted" counter) with an identical product.  `c_out`,
-  /// when non-null, receives C.
+  /// Execute Algorithm 2 at CPU share r: run_kway's executor over the
+  /// bounds {0, split_row(r), rows}.  `c_out`, when non-null, receives C.
   hetsim::RunReport run(double r_cpu_pct,
                         sparse::CsrMatrix* c_out = nullptr) const;
 
   /// Analytic makespan (equals run(r).total_ns()).
   double time_ns(double r_cpu_pct) const;
 
-  /// Analytic identification objective |cpu_work - gpu_work|.
+  /// Analytic identification objective |marginal_ns[0] - marginal_ns[1]|:
+  /// CPU work against GPU work plus its share-dependent transfers.
   double balance_ns(double r_cpu_pct) const;
 
   /// Work-portion device times if ALL rows ran on one device — the inputs
@@ -97,14 +88,15 @@ class HeteroSpmm {
 
   sparse::Index sample_rows(double frac) const;
 
-  SpmmStructure structure_at(double r_cpu_pct) const;
+  /// Two-range structure of CPU share r (rows [0, split) on the CPU).
+  SpmmKwayStructure structure_at(double r_cpu_pct) const;
 
   // --- K-way descriptor interface (core/kway.hpp) -------------------------
   // Device 0 is the CPU, 1 the primary GPU, 2.. the platform accelerators.
-  // At K = 2 every function reproduces the scalar path exactly:
-  // kway_time_ns(two_way(r/100)) == time_ns(r) and run_kway produces a
-  // bitwise-identical C (the numeric kernel is deterministic per row and
-  // the split only moves range boundaries).
+  // Every function prices or executes kway_row_boundaries(d) through the
+  // same structure builder and executor as the threshold calls, so a
+  // descriptor with the threshold's split row gives the identical time
+  // and a bitwise-identical C.
 
   /// Row boundaries of the descriptor's contiguous ranges: K+1 values with
   /// boundaries[0] == 0 and boundaries[K] == rows; device i owns rows
@@ -122,12 +114,21 @@ class HeteroSpmm {
   /// Analytic K-way makespan (equals run_kway(d).total_ns()).
   double kway_time_ns(const core::PartitionDescriptor& d) const;
 
-  /// Execute Algorithm 2 under a K-way descriptor.  Each non-empty
-  /// offload range is gated through the fault injector ("spmm.kway.d<i>")
-  /// on the calling thread, in device order; rerouted ranges are
-  /// re-priced at CPU cost under "phase2.reroute".  All ranges are then
-  /// multiplied by the same single pool pass as run().  Counters add
-  /// "devices" and "gpu_rerouted" (count of rerouted offload ranges).
+  /// Execute Algorithm 2 under a K-way descriptor: the executor over
+  /// kway_row_boundaries(d).
+  ///
+  /// The executor gates each non-empty offload range through the fault
+  /// injector ("spmm.kway.d<i>", hetalg/gpu_guard.hpp) on the calling
+  /// thread, in device order, so a seeded fault plan decides identically
+  /// every run; a rerouted range is re-priced at CPU cost under
+  /// "phase2.reroute".  All ranges are then multiplied by one numeric pool
+  /// pass over a symbolic SpgemmPlan for A x B, built on the first run
+  /// from the cached flops prefix and cached on the instance (the bounds
+  /// only move range boundaries, not C's pattern).  Phases: "phase1",
+  /// "phase2.cpu", "phase2.gpu", "phase2.makespan", "phase2.reroute" (when
+  /// a range was rerouted), "stitch".  Counters: "devices", "gpu_rerouted"
+  /// (rerouted offload ranges), "plan_built" (0/1), "c_nnz", "split_row"
+  /// (the CPU range's end) and "work_total".
   hetsim::RunReport run_kway(const core::PartitionDescriptor& d,
                              sparse::CsrMatrix* c_out = nullptr) const;
 
@@ -141,6 +142,22 @@ class HeteroSpmm {
  private:
   void build_profiles();
 
+  /// {0, split_row(r), rows}: the CPU range, then the GPU range.
+  std::array<sparse::Index, 3> threshold_bounds(double r_cpu_pct) const;
+
+  /// Work of rows [first, last) on device `device` (0 = CPU, whose
+  /// kernel has no warp inflation).
+  SpgemmWork range_work(sparse::Index first, sparse::Index last,
+                        size_t device) const;
+
+  /// Structure of the contiguous ranges [bounds[i], bounds[i+1]).
+  SpmmKwayStructure structure_for(
+      std::span<const sparse::Index> bounds) const;
+
+  /// Gate, multiply and report the ranges (see run_kway).
+  hetsim::RunReport run_ranges(std::span<const sparse::Index> bounds,
+                               sparse::CsrMatrix* c_out) const;
+
   /// C = A x B in one numeric pass over the cached plan (built on first
   /// use), split at the device row `bounds` so each range's executed
   /// multiplies are checked against the load vector.
@@ -148,7 +165,7 @@ class HeteroSpmm {
       std::span<const sparse::Index> bounds) const;
 
   sparse::CsrMatrix a_;
-  sparse::CsrMatrix b_;
+  std::optional<sparse::CsrMatrix> b_;  ///< empty when B is A
   const hetsim::Platform* platform_;
   std::vector<uint64_t> row_work_;     ///< L_AB
   std::vector<uint64_t> work_prefix_;  ///< prefix sums of row_work_

@@ -88,58 +88,6 @@ double spgemm_gpu_work_ns(const hetsim::Platform& p, const SpgemmWork& w) {
   return spgemm_gpu_work_ns(p.gpu(), w);
 }
 
-SpmmTimes spmm_times(const hetsim::Platform& platform,
-                     const SpmmStructure& s) {
-  using hetsim::WorkProfile;
-  SpmmTimes t;
-
-  // Phase I on the GPU: L_AB = A x V_B, prefix scan, split search.
-  {
-    const auto a_nnz =
-        static_cast<double>(s.cpu.a_nnz + s.gpu.a_nnz);
-    WorkProfile p;
-    p.bytes_random = kP1RandomPerANnz * a_nnz;
-    p.bytes_stream = kP1StreamPerANnz * a_nnz +
-                     8.0 * static_cast<double>(s.cpu.rows + s.gpu.rows);
-    p.ops = 2.0 * a_nnz;
-    p.parallel_items = static_cast<double>(s.cpu.rows + s.gpu.rows);
-    p.steps = kP1Launches;
-    t.phase1_ns = platform.gpu().time_ns(p);
-  }
-
-  t.cpu_work_ns = spgemm_cpu_work_ns(platform, s.cpu);
-  if (s.cpu.rows > 0) {
-    WorkProfile barriers;
-    barriers.steps = kCpuBarriers;
-    t.cpu_overhead_ns = platform.cpu().time_ns(barriers);
-  }
-
-  t.gpu_work_ns = spgemm_gpu_work_ns(platform, s.gpu);
-  if (s.gpu.rows > 0) {
-    WorkProfile launches;
-    launches.steps = kGpuLaunches;
-    const double bw = platform.link().spec().bandwidth_bps;
-    // Variable traffic (no latency term): the A slice and the C rows.
-    t.gpu_transfer_var_ns =
-        (s.a_gpu_bytes + c_bytes_estimate(s.gpu.multiplies)) / bw * 1e9;
-    // Constants: launches, the whole-B shipment, two transfer latencies.
-    t.gpu_overhead_ns = platform.gpu().time_ns(launches) +
-                        platform.link().transfer_ns(s.b_bytes) +
-                        platform.link().spec().latency_ns;
-  }
-
-  // Phase III: append the transferred GPU rows to the CPU result.
-  {
-    WorkProfile p;
-    p.bytes_stream =
-        kStitchStreamPerCByte * c_bytes_estimate(s.gpu.multiplies);
-    p.parallel_items = platform.cpu_threads();
-    p.steps = s.gpu.rows > 0 ? 1.0 : 0.0;
-    t.stitch_ns = platform.cpu().time_ns(p);
-  }
-  return t;
-}
-
 double SpmmKwayTimes::total_ns() const {
   double phase2 = 0;
   for (double d : device_ns) phase2 = d > phase2 ? d : phase2;
@@ -165,8 +113,8 @@ SpmmKwayTimes spmm_kway_times(const hetsim::Platform& platform,
     a_nnz_total += w.a_nnz;
   }
 
-  // Phase I on the primary GPU: load vector, prefix scan, split search —
-  // the identical formula as spmm_times (it depends only on totals).
+  // Phase I on the primary GPU: load vector, prefix scan, split search
+  // (it depends only on totals).
   {
     const auto a_nnz = static_cast<double>(a_nnz_total);
     WorkProfile p;

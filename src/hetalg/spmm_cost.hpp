@@ -32,60 +32,20 @@ double spgemm_cpu_work_ns(const hetsim::Platform& p, const SpgemmWork& w);
 double spgemm_gpu_work_ns(const hetsim::GpuDevice& gpu, const SpgemmWork& w);
 double spgemm_gpu_work_ns(const hetsim::Platform& p, const SpgemmWork& w);
 
-/// Structural summary of one Algorithm 2 split.
-struct SpmmStructure {
-  SpgemmWork cpu;                ///< rows [0, split)
-  SpgemmWork gpu;                ///< rows [split, n)
-  double a_gpu_bytes = 0;        ///< CSR bytes of the GPU slice of A
-  double b_bytes = 0;            ///< CSR bytes of B (shipped whole)
-};
-
-struct SpmmTimes {
-  double phase1_ns = 0;        ///< load vector + split search on the GPU
-  double cpu_work_ns = 0;
-  double cpu_overhead_ns = 0;  ///< barriers
-  double gpu_work_ns = 0;
-  double gpu_transfer_var_ns = 0;  ///< split-dependent PCIe traffic
-                                   ///< (A slice up, C rows down)
-  double gpu_overhead_ns = 0;      ///< launches + B shipment + latencies
-
-  double stitch_ns = 0;        ///< Phase III: append GPU rows on the CPU
-
-  double cpu_ns() const { return cpu_work_ns + cpu_overhead_ns; }
-  double gpu_ns() const {
-    return gpu_work_ns + gpu_transfer_var_ns + gpu_overhead_ns;
-  }
-  double total_ns() const {
-    const double phase2 = cpu_ns() > gpu_ns() ? cpu_ns() : gpu_ns();
-    return phase1_ns + phase2 + stitch_ns;
-  }
-  /// Balance of the *marginal* per-side costs: CPU work versus GPU work
-  /// plus the transfers that scale with the GPU's share.  Only the
-  /// split-independent constants (launches, the B operand, per-transfer
-  /// latencies) are excluded.
-  double balance_ns() const {
-    const double d = cpu_work_ns - (gpu_work_ns + gpu_transfer_var_ns);
-    return d < 0 ? -d : d;
-  }
-};
-
-SpmmTimes spmm_times(const hetsim::Platform& platform,
-                     const SpmmStructure& s);
-
-/// Structural summary of a K-way row-range decomposition: index 0 is the
-/// CPU range, 1 the primary GPU, 2.. the platform's accelerators.  The
-/// byte vectors are zero at index 0 (the CPU reads A/B in place).
+/// Structural summary of Algorithm 2 over contiguous row ranges: index 0
+/// is the CPU range, 1 the primary GPU, 2.. the platform's accelerators
+/// (a threshold split is the two-range case).  The byte vectors are zero
+/// at index 0 (the CPU reads A/B in place).
 struct SpmmKwayStructure {
   std::vector<SpgemmWork> work;
   std::vector<double> a_dev_bytes;  ///< CSR bytes of each device's A slice
   std::vector<double> b_dev_bytes;  ///< B shipment per offload device
 };
 
-/// Per-device phase-II times of a K-way decomposition.  At K = 2 every
-/// field reproduces spmm_times() exactly: device_ns == {cpu_ns, gpu_ns},
-/// marginal_ns == {cpu_work, gpu_work + transfer_var}, and total_ns()
-/// equals SpmmTimes::total_ns() — the descriptor path prices identically
-/// to the scalar path (asserted in tests/hetalg/hetero_spmm_kway_test).
+/// Per-device phase-II times of a row-range decomposition.  The marginal
+/// costs exclude only the split-independent constants (launches, the B
+/// shipment, per-transfer latencies); |marginal_ns[0] - marginal_ns[1]| is
+/// the two-way identification objective.
 struct SpmmKwayTimes {
   double phase1_ns = 0;
   std::vector<double> device_ns;    ///< work + transfers + overheads

@@ -558,7 +558,9 @@ SpgemmPlan spgemm_plan(const CsrMatrix& a, const CsrMatrix& b,
   plan.a_nnz = a.nnz();
   plan.b_nnz = b.nnz();
   plan.a_pattern_hash = csr_pattern_hash(a);
-  plan.b_pattern_hash = csr_pattern_hash(b);
+  // A x A passes one operand twice: hash its pattern once.
+  plan.b_pattern_hash =
+      &a == &b ? plan.a_pattern_hash : csr_pattern_hash(b);
 
   plan.load_prefix =
       load_prefix.empty()

@@ -262,12 +262,14 @@ TEST(FaultReroute, ScalarRunWithDeadGpuMatchesExpectedDecisions) {
   EXPECT_EQ(report.counter("gpu_rerouted"), 1.0);
   EXPECT_EQ(counter_or_zero(snapshot, "robustness.retry"), 0.0);
   EXPECT_EQ(counter_or_zero(snapshot, "robustness.reroute"), 1.0);
-  EXPECT_EQ(counter_or_zero(snapshot, "robustness.reroute.spmm.c2"), 1.0);
+  EXPECT_EQ(counter_or_zero(snapshot, "robustness.reroute.spmm.kway.d1"),
+            1.0);
 
-  const SpmmStructure s = problem.structure_at(r);
-  const SpmmTimes t = spmm_times(platform, s);
-  const double expected = t.phase1_ns + t.cpu_ns() +
-                          spgemm_cpu_work_ns(platform, s.gpu) + t.stitch_ns;
+  const SpmmKwayStructure s = problem.structure_at(r);
+  const SpmmKwayTimes t = spmm_kway_times(platform, s);
+  const double expected = t.phase1_ns + t.device_ns[0] +
+                          spgemm_cpu_work_ns(platform, s.work[1]) +
+                          t.stitch_ns;
   EXPECT_EQ(report.total_ns(), expected);
   obs::Registry::global().clear();
 }

@@ -68,6 +68,53 @@ INSTANTIATE_TEST_SUITE_P(DyadicShares, KwayTwoWayBitwiseTest,
                          ::testing::Values(0.0, 6.25, 25.0, 50.0, 93.75,
                                            100.0));
 
+// The pricing/execution invariant on generated inputs: for random
+// descriptors at K = 2, 3, 4 and random (non-dyadic) thresholds, the
+// executed virtual time equals the analytic one exactly and C is bitwise
+// the serial product.
+TEST(HeteroSpmmKway, RandomSplitsRunAsPricedWithTheSerialProduct) {
+  const hetsim::Platform platform = accel_platform(2);
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(seed);
+    const auto rows = static_cast<sparse::Index>(rng.uniform_range(200, 600));
+    CsrMatrix a, b;
+    switch (seed % 3) {
+      case 0:
+        a = sparse::random_uniform(rows, rows, 8 * rows, rng);
+        break;
+      case 1:
+        a = sparse::scale_free(rows, 8, 2.1, rng);
+        break;
+      default: {
+        const auto inner =
+            static_cast<sparse::Index>(rng.uniform_range(100, 400));
+        a = sparse::random_uniform(rows, inner, 6 * rows, rng);
+        b = sparse::random_uniform(inner, rows / 2, 5 * inner, rng);
+      }
+    }
+    const HeteroSpmm problem = b.rows() > 0 ? HeteroSpmm(a, b, platform)
+                                            : HeteroSpmm(a, platform);
+    const CsrMatrix expected = sparse::spgemm(a, problem.b());
+    for (int trial = 0; trial < 6; ++trial) {
+      const int k = 2 + trial % 3;
+      std::vector<double> weights(k);
+      for (double& w : weights)
+        w = rng.bernoulli(0.2) ? 0.0 : rng.uniform_real(0.05, 1.0);
+      weights[rng.uniform(k)] += 0.1;  // never all zero
+      const auto d = PartitionDescriptor::from_weights(weights);
+      CsrMatrix c;
+      EXPECT_EQ(problem.run_kway(d, &c).total_ns(), problem.kway_time_ns(d))
+          << "seed " << seed << " descriptor " << d.to_string();
+      EXPECT_TRUE(c == expected) << "seed " << seed;
+
+      const double r = rng.uniform_real(0.0, 100.0);
+      EXPECT_EQ(problem.run(r, &c).total_ns(), problem.time_ns(r))
+          << "seed " << seed << " r " << r;
+      EXPECT_TRUE(c == expected) << "seed " << seed << " r " << r;
+    }
+  }
+}
+
 TEST(HeteroSpmmKway, BoundariesPartitionTheRows) {
   const hetsim::Platform platform = accel_platform(2);
   const HeteroSpmm problem(test_matrix(), platform);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "sparse/generators.hpp"
 #include "sparse/spgemm.hpp"
 
@@ -22,16 +24,16 @@ class HeteroSpmmThresholdTest : public ::testing::TestWithParam<double> {};
 TEST_P(HeteroSpmmThresholdTest, RunMatchesAnalyticTime) {
   const HeteroSpmm problem(test_matrix(), plat());
   const double r = GetParam();
-  EXPECT_NEAR(problem.run(r).total_ns(), problem.time_ns(r),
-              problem.time_ns(r) * 1e-9);
+  EXPECT_EQ(problem.run(r).total_ns(), problem.time_ns(r));
 }
 
 TEST_P(HeteroSpmmThresholdTest, SplitHoldsRequestedWorkShare) {
   const HeteroSpmm problem(test_matrix(), plat());
   const double r = GetParam();
-  const SpmmStructure s = problem.structure_at(r);
+  const SpmmKwayStructure s = problem.structure_at(r);
   const double total = static_cast<double>(problem.total_work());
-  const double share = 100.0 * static_cast<double>(s.cpu.multiplies) / total;
+  const double share =
+      100.0 * static_cast<double>(s.work[0].multiplies) / total;
   // The split row quantizes the share; one row's work bounds the error.
   EXPECT_NEAR(share, r, 2.0);
 }
@@ -46,6 +48,26 @@ TEST(HeteroSpmm, ProductIsCorrect) {
   const HeteroSpmm problem(a, plat());
   const auto report = problem.run(35.0);
   EXPECT_EQ(report.counter("c_nnz"), static_cast<double>(expected.nnz()));
+}
+
+TEST(HeteroSpmm, OneMatrixFormHoldsAOnce) {
+  const CsrMatrix a = test_matrix();
+  const HeteroSpmm problem(a, plat());
+  EXPECT_EQ(&problem.b(), &problem.a());
+  EXPECT_EQ(problem.a(), a);
+  // Copies and moves keep B a view of their own A.
+  const HeteroSpmm copy = problem;
+  EXPECT_EQ(&copy.b(), &copy.a());
+  HeteroSpmm source = problem;
+  const HeteroSpmm moved = std::move(source);
+  EXPECT_EQ(&moved.b(), &moved.a());
+  CsrMatrix c;
+  moved.run(35.0, &c);
+  EXPECT_EQ(c, sparse::spgemm(a, a));
+  // The two-matrix form keeps its own B.
+  const HeteroSpmm two(a, a, plat());
+  EXPECT_NE(&two.b(), &two.a());
+  EXPECT_EQ(two.time_ns(35.0), problem.time_ns(35.0));
 }
 
 TEST(HeteroSpmm, TotalWorkMatchesCounters) {
