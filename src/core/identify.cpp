@@ -15,6 +15,31 @@
 
 namespace nbwp::core {
 
+IdentifyBudget::IdentifyBudget(double wall_deadline_ns,
+                               double virtual_budget_ns, int max_evaluations)
+    : wall_deadline_ns_(wall_deadline_ns),
+      virtual_budget_ns_(virtual_budget_ns),
+      max_evaluations_(max_evaluations),
+      start_(std::chrono::steady_clock::now()) {}
+
+void IdentifyBudget::check() const {
+  const double elapsed = std::chrono::duration<double, std::nano>(
+                             std::chrono::steady_clock::now() - start_)
+                             .count();
+  const char* spent =
+      max_evaluations_ > 0 && evaluations_ >= max_evaluations_ ? "evaluation"
+      : virtual_budget_ns_ > 0 && cost_ns_ >= virtual_budget_ns_ ? "virtual"
+      : wall_deadline_ns_ > 0 && elapsed >= wall_deadline_ns_    ? "wall-clock"
+                                                                 : nullptr;
+  if (spent) {
+    throw IdentifyDeadlineExceeded(
+        strfmt("identify: %s budget exhausted after %d evaluations (%.3g ms "
+               "virtual, %.3g ms wall)",
+               spent, evaluations_, cost_ns_ / 1e6, elapsed / 1e6),
+        evaluations_, elapsed, cost_ns_);
+  }
+}
+
 namespace {
 
 /// Threshold→objective memo scoped to one search invocation.  Each
@@ -26,10 +51,9 @@ namespace {
 class MemoEval {
  public:
   explicit MemoEval(const Evaluator& eval)
-      : eval_(&eval), start_(std::chrono::steady_clock::now()) {}
-
-  double lo() const { return eval_->lo; }
-  double hi() const { return eval_->hi; }
+      : eval_(&eval),
+        budget_(eval.wall_deadline_ns, eval.virtual_budget_ns,
+                eval.max_evaluations) {}
 
   /// Evaluate (or recall) the clamped threshold, fold it into the running
   /// result, and return the objective.  Budget limits are enforced here,
@@ -42,14 +66,13 @@ class MemoEval {
       obj = it->second;
       ++r.cache_hits;
     } else {
-      check_budgets();
+      budget_.check();
       obj = eval_->objective_ns(t);
       cache_.emplace(t, obj);
       const double cost = eval_->cost_ns ? eval_->cost_ns(t) : 0.0;
+      budget_.charge(cost);
       r.cost_ns += cost;
-      total_cost_ns_ += cost;
       ++r.evaluations;
-      ++total_evaluations_;
     }
     if (r.evaluations + r.cache_hits == 1 || obj < r.best_objective) {
       r.best_objective = obj;
@@ -59,45 +82,9 @@ class MemoEval {
   }
 
  private:
-  double wall_elapsed_ns() const {
-    return std::chrono::duration<double, std::nano>(
-               std::chrono::steady_clock::now() - start_)
-        .count();
-  }
-
-  void check_budgets() const {
-    if (eval_->max_evaluations > 0 &&
-        total_evaluations_ >= eval_->max_evaluations) {
-      throw IdentifyDeadlineExceeded(
-          strfmt("identify: evaluation budget of %d exhausted",
-                 eval_->max_evaluations),
-          total_evaluations_, wall_elapsed_ns(), total_cost_ns_);
-    }
-    if (eval_->virtual_budget_ns > 0 &&
-        total_cost_ns_ >= eval_->virtual_budget_ns) {
-      throw IdentifyDeadlineExceeded(
-          strfmt("identify: virtual budget of %.3g ms exhausted after %d "
-                 "evaluations",
-                 eval_->virtual_budget_ns / 1e6, total_evaluations_),
-          total_evaluations_, wall_elapsed_ns(), total_cost_ns_);
-    }
-    if (eval_->wall_deadline_ns > 0) {
-      const double elapsed = wall_elapsed_ns();
-      if (elapsed >= eval_->wall_deadline_ns) {
-        throw IdentifyDeadlineExceeded(
-            strfmt("identify: wall deadline of %.3g ms exceeded after %d "
-                   "evaluations",
-                   eval_->wall_deadline_ns / 1e6, total_evaluations_),
-            total_evaluations_, elapsed, total_cost_ns_);
-      }
-    }
-  }
-
   const Evaluator* eval_;
-  std::chrono::steady_clock::time_point start_;
+  IdentifyBudget budget_;
   std::unordered_map<double, double> cache_;
-  int total_evaluations_ = 0;
-  double total_cost_ns_ = 0.0;
 };
 
 IdentifyResult grid(MemoEval& memo, double lo, double hi, double step) {

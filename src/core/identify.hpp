@@ -16,6 +16,7 @@
 // Golden-section search is provided as an ablation alternative.
 #pragma once
 
+#include <chrono>
 #include <functional>
 #include <string>
 
@@ -62,6 +63,37 @@ class IdentifyDeadlineExceeded : public Error {
   int evaluations_;
   double wall_elapsed_ns_;
   double virtual_spent_ns_;
+};
+
+/// What one search has spent against its identify budgets.  Every search
+/// owns one — the scalar threshold memo and the K-way boundary descent
+/// alike — and calls check() before each new evaluation of the sampled
+/// algorithm, then charge() with the virtual time that evaluation stands
+/// for.  Memo hits call neither: they are free.
+class IdentifyBudget {
+ public:
+  /// Budgets as in Evaluator (0 disables each); the wall clock starts now.
+  IdentifyBudget(double wall_deadline_ns, double virtual_budget_ns,
+                 int max_evaluations);
+
+  /// Throws IdentifyDeadlineExceeded once the evaluation cap, the virtual
+  /// budget or the wall deadline (tested in that order) is spent.
+  void check() const;
+  void charge(double cost_ns) {
+    cost_ns_ += cost_ns;
+    ++evaluations_;
+  }
+
+  int evaluations() const { return evaluations_; }
+  double cost_ns() const { return cost_ns_; }
+
+ private:
+  double wall_deadline_ns_;
+  double virtual_budget_ns_;
+  int max_evaluations_;
+  std::chrono::steady_clock::time_point start_;
+  int evaluations_ = 0;
+  double cost_ns_ = 0.0;
 };
 
 struct IdentifyResult {

@@ -21,20 +21,24 @@
 // (KwayExecutableProblem below; hetalg::HeteroSpmm implements it).  The
 // identify step is a coordinate-descent sweep over the K-1 interior
 // boundaries in cumulative-share-percent space — the coarse-then-fine
-// grid of Section III-A.2 lifted one dimension per extra device — with
-// the same per-observation timing noise, probe hook and identify budgets
-// as the scalar search.  Extrapolation is the identity in share space
-// (shares survive sampling where raw cutoffs do not, the same reasoning
-// as the serve warm-start path).
+// grid of Section III-A.2 lifted one dimension per extra device, with the
+// scalar sampling.coarse_step / fine_step and at most kKwayMaxSweeps
+// sweeps per step.  Its probes run on the scalar search's machinery: one
+// IdentifyBudget checks the budgets and charges each probe's makespan,
+// and observe_probe applies the probe hook and timing noise.
+// Extrapolation is the identity in share space (shares survive sampling
+// where raw cutoffs do not, the same reasoning as the serve warm-start
+// path).
 //
-// The K > 2 fallback chain is sampled -> naive-static (shares
-// proportional to per-device effective throughput); the race stage is
-// inherently two-device and is skipped.  A GPU known dead degrades to the
-// all-CPU descriptor, as in the scalar chain.
+// The K > 2 fallback chain runs the scalar chain's guarded sampled stage
+// (detail::guarded_sampled_stage: degenerate-input check, fault-injector
+// probe hook, catch ladder), then naive-static (shares proportional to
+// per-device effective throughput); the race stage is inherently
+// two-device and is skipped.  A GPU known dead degrades to the all-CPU
+// descriptor, as in the scalar chain.
 #pragma once
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <map>
 #include <vector>
@@ -60,13 +64,9 @@ struct KwayConfig {
   /// The scalar pipeline's configuration: sampling, identify budgets,
   /// noise, probe hook, start stage.  At K = 2 it is forwarded verbatim
   /// (only `objective` above overrides sampling.objective).
+  /// At K > 2 the boundary descent takes its grid steps (percent of
+  /// cumulative share) from sampling.coarse_step and fine_step.
   RobustConfig robust{};
-  /// Boundary grid steps (percent of cumulative share) for the K > 2
-  /// coordinate descent; the scalar coarse-to-fine defaults.
-  double coarse_step_pct = 8.0;
-  double fine_step_pct = 1.0;
-  /// Cap on full coordinate-descent sweeps per grid resolution.
-  int max_sweeps = 8;
 };
 
 struct KwayEstimate {
@@ -74,8 +74,6 @@ struct KwayEstimate {
   /// Scalar threshold when devices == 2 (the delegated estimate);
   /// unused for K > 2.
   double threshold = 0;
-  /// Best identify objective observed on the sample (K > 2 search).
-  double sample_objective = 0;
   FallbackStage stage = FallbackStage::kSampled;
   std::string reason;
   double estimation_cost_ns = 0;
@@ -96,16 +94,22 @@ inline Objective scalar_objective_for(CostObjective objective) {
   return Objective::kBalance;
 }
 
+/// Cap on full coordinate-descent sweeps per grid resolution.
+inline constexpr int kKwayMaxSweeps = 8;
+
 /// Coordinate descent over the K-1 interior boundaries on `sample`.
-/// Budgets, noise and the probe hook behave exactly as in identify_on;
-/// throws IdentifyDeadlineExceeded when a budget runs out.
+/// Budgets, charging, noise and the probe hook are the scalar search's
+/// own (IdentifyBudget, observe_probe); throws IdentifyDeadlineExceeded
+/// when a budget runs out.
 template <typename P>
 IdentifyResult identify_kway_on(const P& sample, const KwayConfig& cfg,
                                 PartitionDescriptor& best_out,
                                 Rng& noise_rng) {
   const int k = cfg.devices;
   const SamplingConfig& scfg = cfg.robust.sampling;
-  const auto wall_start = std::chrono::steady_clock::now();
+  IdentifyBudget budget(scfg.identify_wall_deadline_ns,
+                        scfg.identify_virtual_budget_ns,
+                        scfg.identify_max_evaluations);
   IdentifyResult result;
   // Memoized on the quantized boundary vector: revisited corners during
   // later sweeps are free, like the scalar searches' threshold memo.
@@ -119,56 +123,34 @@ IdentifyResult identify_kway_on(const P& sample, const KwayConfig& cfg,
       ++result.cache_hits;
       return it->second;
     }
-    const double wall_elapsed =
-        std::chrono::duration<double, std::nano>(
-            std::chrono::steady_clock::now() - wall_start)
-            .count();
-    if ((scfg.identify_max_evaluations > 0 &&
-         result.evaluations >= scfg.identify_max_evaluations) ||
-        (scfg.identify_wall_deadline_ns > 0 &&
-         wall_elapsed >= scfg.identify_wall_deadline_ns) ||
-        (scfg.identify_virtual_budget_ns > 0 &&
-         result.cost_ns >= scfg.identify_virtual_budget_ns)) {
-      throw IdentifyDeadlineExceeded(
-          strfmt("k-way identify budget exhausted after %d evaluations",
-                 result.evaluations),
-          result.evaluations, wall_elapsed, result.cost_ns);
-    }
+    budget.check();
     const PartitionDescriptor d =
         PartitionDescriptor::from_cumulative_pct(cum);
     const double makespan = sample.kway_time_ns(d);
-    const double raw =
+    const double observed = observe_probe(
+        scfg,
         cfg.objective == CostObjective::kCriticalPath
             ? makespan
-            : descriptor_cost(cfg.objective, sample.kway_marginal_work_ns(d));
-    const double sigma_factor = scfg.probe_hook ? scfg.probe_hook(raw) : 1.0;
-    double observed = raw;
-    if (scfg.timing_noise_ns > 0) {
-      observed = std::max(
-          0.0, raw + noise_rng.normal(0, scfg.timing_noise_ns * sigma_factor));
-    }
+            : descriptor_cost(cfg.objective, sample.kway_marginal_work_ns(d)),
+        noise_rng);
     // Each evaluation stands for one run of the heterogeneous algorithm
     // on the sample; charge its makespan.
-    result.cost_ns += makespan;
-    ++result.evaluations;
+    budget.charge(makespan);
     memo.emplace(std::move(key), observed);
     return observed;
   };
 
   // Start from the throughput-proportional boundaries so the first sweep
   // refines a sane split instead of crawling away from a corner.
-  std::vector<double> cum(static_cast<size_t>(k - 1), 0.0);
-  {
-    const hetsim::Platform& platform = platform_of(sample);
-    const PartitionDescriptor seed = PartitionDescriptor::from_weights(
-        platform.device_ops_per_s(static_cast<size_t>(k)));
-    cum = seed.cumulative_pct();
-  }
+  std::vector<double> cum =
+      PartitionDescriptor::from_weights(
+          platform_of(sample).device_ops_per_s(static_cast<size_t>(k)))
+          .cumulative_pct();
   double best = objective_at(cum);
-  for (double step : {cfg.coarse_step_pct, cfg.fine_step_pct}) {
+  for (double step : {scfg.coarse_step, scfg.fine_step}) {
     if (step <= 0) continue;
     bool improved = true;
-    for (int sweep = 0; improved && sweep < cfg.max_sweeps; ++sweep) {
+    for (int sweep = 0; improved && sweep < kKwayMaxSweeps; ++sweep) {
       improved = false;
       for (int j = 0; j < k - 1; ++j) {
         const double lo = j == 0 ? 0.0 : cum[static_cast<size_t>(j - 1)];
@@ -190,7 +172,19 @@ IdentifyResult identify_kway_on(const P& sample, const KwayConfig& cfg,
   best_out = PartitionDescriptor::from_cumulative_pct(cum);
   result.best_objective = best;
   result.best_threshold = cum.empty() ? 0.0 : cum[0];
+  result.cost_ns = budget.cost_ns();
+  result.evaluations = budget.evaluations();
   return result;
+}
+
+/// Preconditions of both K-way entry points: two devices or more, and the
+/// descriptor interface beyond two.
+template <typename P>
+void require_kway(const KwayConfig& cfg) {
+  NBWP_REQUIRE(cfg.devices >= 2, "k-way estimation needs >= 2 devices");
+  NBWP_REQUIRE(cfg.devices == 2 || KwayExecutableProblem<P>,
+               "problem does not implement the k-way descriptor "
+               "interface (kway_marginal_work_ns / kway_time_ns)");
 }
 
 }  // namespace detail
@@ -199,11 +193,11 @@ IdentifyResult identify_kway_on(const P& sample, const KwayConfig& cfg,
 /// to the scalar estimate_partition; K > 2 requires the problem to model
 /// KwayExecutableProblem and throws on budget exhaustion like the scalar
 /// pipeline (wrap with robust_estimate_partition_kway for the fallback
-/// chain).  Fires identify.kway.evals and plan.devices.
+/// chain).  Fires identify.kway.evals.
 template <PartitionProblem P>
 KwayEstimate estimate_partition_kway(const P& problem,
                                      const KwayConfig& cfg) {
-  NBWP_REQUIRE(cfg.devices >= 2, "k-way estimation needs >= 2 devices");
+  detail::require_kway<P>(cfg);
   KwayEstimate out;
   if (cfg.devices == 2) {
     SamplingConfig scfg = cfg.robust.sampling;
@@ -216,11 +210,7 @@ KwayEstimate estimate_partition_kway(const P& problem,
     out.evaluations = est.evaluations;
     return out;
   }
-  if constexpr (!KwayExecutableProblem<P>) {
-    NBWP_REQUIRE(false,
-                 "problem does not implement the k-way descriptor "
-                 "interface (kway_marginal_work_ns / kway_time_ns)");
-  } else {
+  if constexpr (KwayExecutableProblem<P>) {
     obs::Span estimate_span("estimate.kway");
     Rng rng(cfg.robust.sampling.seed);
     const P sample =
@@ -232,7 +222,6 @@ KwayEstimate estimate_partition_kway(const P& problem,
         detail::identify_kway_on(sample, cfg, out.descriptor, noise_rng);
     out.estimation_cost_ns += found.cost_ns;
     out.evaluations = found.evaluations;
-    out.sample_objective = found.best_objective;
     obs::count("identify.kway.evals", found.evaluations);
     log_debug(strfmt("k-way estimate: %s after %d evaluations",
                      out.descriptor.to_string().c_str(), found.evaluations));
@@ -242,12 +231,13 @@ KwayEstimate estimate_partition_kway(const P& problem,
 
 /// estimate_partition_kway under guard rails.  K = 2 delegates to the
 /// scalar robust_estimate_partition (identical chain, identical plans);
-/// K > 2 runs sampled -> naive-static, with the degraded all-CPU
-/// descriptor when the GPU is known dead.
+/// K > 2 runs the scalar chain's guarded sampled stage, then naive-static,
+/// with the degraded all-CPU descriptor when the GPU is known dead.
+/// Fires plan.devices.
 template <PartitionProblem P>
 KwayEstimate robust_estimate_partition_kway(const P& problem,
                                             const KwayConfig& cfg) {
-  NBWP_REQUIRE(cfg.devices >= 2, "k-way estimation needs >= 2 devices");
+  detail::require_kway<P>(cfg);
   obs::count("plan.devices", cfg.devices);
   if (cfg.devices == 2) {
     RobustConfig rcfg = cfg.robust;
@@ -263,75 +253,41 @@ KwayEstimate robust_estimate_partition_kway(const P& problem,
     out.evaluations = est.evaluations;
     return out;
   }
-  if constexpr (!KwayExecutableProblem<P>) {
-    NBWP_REQUIRE(false,
-                 "problem does not implement the k-way descriptor "
-                 "interface (kway_marginal_work_ns / kway_time_ns)");
-  } else {
-    KwayEstimate out;
-    const hetsim::Platform& platform = detail::platform_of(problem);
-    hetsim::FaultInjector* injector = platform.faults();
-    if (injector && injector->gpu_dead()) {
-      out.stage = FallbackStage::kDegraded;
-      out.reason = "gpu_offline";
-      out.descriptor = PartitionDescriptor::all_cpu(cfg.devices);
-      detail::count_trigger(out.reason);
-      detail::count_stage(out.stage);
-      return out;
-    }
-    auto note = [&out](const std::string& reason) {
-      detail::count_trigger(reason);
-      out.reason = out.reason.empty() ? reason : out.reason + "," + reason;
-    };
-    if (cfg.robust.start_stage == FallbackStage::kSampled) {
-      if (detail::is_degenerate(problem)) {
-        note("degenerate_input");
-      } else {
-        KwayConfig scfg = cfg;
-        if (injector && !scfg.robust.sampling.probe_hook) {
-          scfg.robust.sampling.probe_hook = [injector](double observed_ns) {
-            injector->gpu_kernel("estimate.probe", observed_ns);
-            return injector->noise_sigma_factor();
-          };
-        }
-        try {
-          KwayEstimate est = estimate_partition_kway(problem, scfg);
-          if (est.descriptor.valid()) {
-            est.reason = out.reason;
-            detail::count_stage(est.stage);
-            return est;
-          }
-          note("degenerate_sample");
-        } catch (const IdentifyDeadlineExceeded& e) {
-          obs::count("robustness.deadline.identify");
-          note("identify_deadline");
-          out.estimation_cost_ns += e.virtual_spent_ns();
-          out.evaluations += e.evaluations();
-          log_warn(std::string("k-way robust estimate: ") + e.what() +
-                   "; falling back to naive static shares");
-        } catch (const hetsim::DeviceFault& e) {
-          note("device_fault");
-          log_warn(std::string("k-way robust estimate: ") + e.what() +
-                   "; falling back to naive static shares");
-        } catch (const Error& e) {
-          note("estimate_error");
-          log_warn(std::string("k-way robust estimate: ") + e.what() +
-                   "; falling back to naive static shares");
-        }
-      }
-    }
-    // Naive static: shares proportional to each device's effective
-    // throughput — spec sheets only, cannot fail.
-    out.stage = FallbackStage::kNaiveStatic;
-    if (injector && injector->gpu_dead()) {
-      out.descriptor = PartitionDescriptor::all_cpu(cfg.devices);
-    } else {
-      out.descriptor = PartitionDescriptor::from_weights(
-          platform.device_ops_per_s(static_cast<size_t>(cfg.devices)));
-    }
+  KwayEstimate out;
+  const hetsim::Platform& platform = detail::platform_of(problem);
+  hetsim::FaultInjector* injector = platform.faults();
+  if (injector && injector->gpu_dead()) {
+    out.stage = FallbackStage::kDegraded;
+    out.reason = "gpu_offline";
+    out.descriptor = PartitionDescriptor::all_cpu(cfg.devices);
+    detail::count_trigger(out.reason);
     detail::count_stage(out.stage);
     return out;
   }
+  auto est = detail::guarded_sampled_stage(
+      problem, cfg.robust, out, [&](const SamplingConfig& scfg) {
+        KwayConfig kcfg = cfg;
+        kcfg.robust.sampling = scfg;
+        KwayEstimate e = estimate_partition_kway(problem, kcfg);
+        if (!e.descriptor.valid())
+          throw DegenerateSample("k-way descriptor is not valid");
+        return e;
+      });
+  if (est) {
+    detail::count_stage(est->stage);
+    return *std::move(est);
+  }
+  // Naive static: shares proportional to each device's effective
+  // throughput — spec sheets only, cannot fail.
+  out.stage = FallbackStage::kNaiveStatic;
+  if (injector && injector->gpu_dead()) {
+    out.descriptor = PartitionDescriptor::all_cpu(cfg.devices);
+  } else {
+    out.descriptor = PartitionDescriptor::from_weights(
+        platform.device_ops_per_s(static_cast<size_t>(cfg.devices)));
+  }
+  detail::count_stage(out.stage);
+  return out;
 }
 
 }  // namespace nbwp::core

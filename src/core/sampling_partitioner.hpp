@@ -128,6 +128,19 @@ double cpu_share_of_threshold(const P& p, double t) {
   }
 }
 
+/// What one probe of the sampled algorithm reports for the objective
+/// value `raw`: the probe hook sees it first (it may throw, e.g. a fault
+/// injector's DeviceFault) and returns a sigma multiplier, then seeded
+/// timing noise of that sigma is added, clamped at 0.  Every identify
+/// search, scalar or K-way, observes its probes through this one step.
+inline double observe_probe(const SamplingConfig& cfg, double raw,
+                            Rng& noise_rng) {
+  const double sigma_factor = cfg.probe_hook ? cfg.probe_hook(raw) : 1.0;
+  if (cfg.timing_noise_ns <= 0) return raw;
+  return std::max(
+      0.0, raw + noise_rng.normal(0, cfg.timing_noise_ns * sigma_factor));
+}
+
 template <typename P>
 IdentifyResult identify_on(const P& sample, const SamplingConfig& cfg,
                            Rng& noise_rng) {
@@ -137,20 +150,13 @@ IdentifyResult identify_on(const P& sample, const SamplingConfig& cfg,
   eval.wall_deadline_ns = cfg.identify_wall_deadline_ns;
   eval.virtual_budget_ns = cfg.identify_virtual_budget_ns;
   eval.max_evaluations = cfg.identify_max_evaluations;
-  auto observe = [&cfg, &noise_rng](double objective) {
-    const double sigma_factor =
-        cfg.probe_hook ? cfg.probe_hook(objective) : 1.0;
-    if (cfg.timing_noise_ns <= 0) return objective;
-    return std::max(0.0, objective + noise_rng.normal(
-                                         0, cfg.timing_noise_ns * sigma_factor));
-  };
   if (cfg.objective == Objective::kBalance) {
-    eval.objective_ns = [&sample, observe](double t) {
-      return observe(sample.balance_ns(t));
+    eval.objective_ns = [&sample, &cfg, &noise_rng](double t) {
+      return observe_probe(cfg, sample.balance_ns(t), noise_rng);
     };
   } else {
-    eval.objective_ns = [&sample, observe](double t) {
-      return observe(sample.time_ns(t));
+    eval.objective_ns = [&sample, &cfg, &noise_rng](double t) {
+      return observe_probe(cfg, sample.time_ns(t), noise_rng);
     };
   }
   // Each candidate evaluation stands for one run of the heterogeneous

@@ -129,5 +129,14 @@ TEST(KwayEquivalence, TwoWayFallbackChainMirrorsScalarUnderFaults) {
   EXPECT_DOUBLE_EQ(est.descriptor.cpu_share(), 1.0);
 }
 
+// Beyond two devices a problem must price descriptors; a scalar-only one
+// is a programming error the robust chain must not turn into a fallback.
+TEST(KwayPreconditions, ScalarOnlyProblemRejectsMoreThanTwoDevices) {
+  KwayConfig cfg = two_way_config();
+  cfg.devices = 3;
+  EXPECT_THROW(estimate_partition_kway(cc_problem(), cfg), Error);
+  EXPECT_THROW(robust_estimate_partition_kway(cc_problem(), cfg), Error);
+}
+
 }  // namespace
 }  // namespace nbwp::core
